@@ -64,3 +64,43 @@ func TestStoreConcurrentTables(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLineageConcurrentWithCracks renders a column's lineage while
+// another goroutine keeps cracking it. Rendering works on a snapshot
+// taken under the column's read lock, so it must never touch state a
+// concurrent crack is mutating (run with -race).
+func TestLineageConcurrentWithCracks(t *testing.T) {
+	const rows = 5_000
+	s := New()
+	if err := s.LoadTapestry("t", rows, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < 300; i++ {
+			lo := int64((i*7919)%(rows-100) + 1)
+			if got, err := s.Count("t", "c0", lo, lo+99); err != nil || got != 100 {
+				t.Errorf("count(t, [%d,%d]) = %d, %v; want 100", lo, lo+99, got, err)
+				return
+			}
+		}
+	}()
+	for renders := 0; ; renders++ {
+		select {
+		case <-done:
+			wg.Wait()
+			if renders == 0 {
+				t.Log("cracking finished before the first render")
+			}
+			return
+		default:
+		}
+		if _, err := s.Lineage("t", "c0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

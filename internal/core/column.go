@@ -39,7 +39,7 @@ type Column struct {
 	oids []bat.OID // oids[i] is the tuple identity of vals[i]
 
 	idx    *Index
-	lin    *Lineage
+	lin    Lineage
 	sorted bool // whole column sorted: cuts become binary searches
 
 	// snap caches the flat batch-lookup snapshot of idx (see batch.go).
@@ -156,14 +156,13 @@ func NewColumn(name string, vals []int64, opts ...Option) *Column {
 		vals:    append([]int64(nil), vals...),
 		oids:    make([]bat.OID, len(vals)),
 		idx:     &Index{},
-		lin:     NewLineage(name),
+		lin:     Lineage{table: name, n: len(vals)},
 		nextOID: bat.OID(len(vals)),
 		deleted: make(map[bat.OID]struct{}),
 	}
 	for i := range c.oids {
 		c.oids[i] = bat.OID(i)
 	}
-	c.lin.Root(0, len(vals))
 	for _, o := range opts {
 		o(c)
 	}
@@ -209,11 +208,13 @@ func (c *Column) touchTuples(n int64) { c.stats.tuplesTouched.Add(n) }
 // ResetStats zeroes the counters.
 func (c *Column) ResetStats() { c.stats.reset() }
 
-// Lineage returns the lineage DAG (rendered by crackdemo).
+// Lineage returns a snapshot of the lineage DAG (rendered by
+// crackdemo). It is taken under the read lock and shares only the
+// append-only crack log, so reading it never races later cracks.
 func (c *Column) Lineage() *Lineage {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.lin
+	return c.lin.snapshot()
 }
 
 // Index exposes the cracker index for inspection (tests, ablations).
@@ -539,9 +540,7 @@ func (c *Column) sortLocked(detail string) {
 	c.stats.tuplesTouched.Add(int64(len(c.vals)) * int64(ceilLog2(len(c.vals))))
 	c.idx.Reset()
 	c.sorted = true
-	c.lin = NewLineage(c.name)
-	root := c.lin.Root(0, len(c.vals))
-	root.Detail = detail
+	c.lin = Lineage{table: c.name, n: len(c.vals), detail: detail}
 }
 
 func ceilLog2(n int) int {
@@ -600,8 +599,7 @@ func (c *Column) cutRaw(val int64, incl bool, register bool) int {
 		return m
 	}
 	c.idx.Insert(val, incl, m)
-	c.recordCrack(lo, hi, fmt.Sprintf("%s %s %d", c.name, cutOpString(incl), val),
-		[2]int{lo, m}, [2]int{m, hi})
+	c.lin.record(crackRec{kind: crackCut, lo: lo, hi: hi, m1: m, m2: m, v1: val, incl: incl}, c.idx.Len())
 	c.fuseLocked()
 	return m
 }
@@ -720,38 +718,15 @@ func (c *Column) crackInThree(lo, hi int, loVal int64, loIncl bool, hiVal int64,
 	}
 	// Lineage splits only at the boundaries actually registered, so the
 	// rendered pieces keep matching the cracker index.
-	var ranges [][2]int
-	switch {
-	case regLo && regHi:
-		ranges = [][2]int{{lo, m1}, {m1, m2}, {m2, hi}}
-	case regLo:
-		ranges = [][2]int{{lo, m1}, {m1, hi}}
-	default: // regHi only
-		ranges = [][2]int{{lo, m2}, {m2, hi}}
+	s1, s2 := m1, m2
+	if !regLo {
+		s1 = s2
+	} else if !regHi {
+		s2 = s1
 	}
-	c.recordCrack(lo, hi,
-		fmt.Sprintf("%s ∈ cut(%d,%d)", c.name, loVal, hiVal),
-		ranges...)
+	c.lin.record(crackRec{kind: crackRange, lo: lo, hi: hi, m1: s1, m2: s2, v1: loVal, v2: hiVal}, c.idx.Len())
 	c.fuseLocked()
 	return m1, m2
-}
-
-// recordCrack attaches child pieces to the lineage leaf covering [lo, hi).
-func (c *Column) recordCrack(lo, hi int, detail string, ranges ...[2]int) {
-	leaf := c.lin.LeafCovering(lo, hi)
-	if leaf == nil {
-		return
-	}
-	// Only split the leaf when the ranges are non-trivial.
-	kept := ranges[:0:0]
-	for _, r := range ranges {
-		if r[1] > r[0] {
-			kept = append(kept, r)
-		}
-	}
-	if len(kept) > 1 {
-		c.lin.Crack(leaf, "Ξ", detail, kept...)
-	}
 }
 
 // fuseLocked enforces MaxPieces by repeatedly removing the cut whose
@@ -851,8 +826,7 @@ func (c *Column) consolidateLocked() {
 	c.idx.Reset()
 	wasSorted := c.sorted
 	c.sorted = false
-	c.lin = NewLineage(c.name)
-	c.lin.Root(0, len(c.vals))
+	c.lin = Lineage{table: c.name, n: len(c.vals)}
 	c.stats.consolidations.Add(1)
 	if wasSorted {
 		c.sortLocked("re-sort after consolidation")

@@ -275,6 +275,39 @@ func TestLineageRecordsCracks(t *testing.T) {
 	}
 }
 
+// TestLineageLogBoundedUnderFusion checks the crack log stays
+// proportional to the piece budget when fusion keeps the index small:
+// cracks of fused pieces no longer attach to a lineage leaf, and
+// compaction drops them without changing what replay produces.
+func TestLineageLogBoundedUnderFusion(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vals := make([]int64, 20_000)
+	for i := range vals {
+		vals[i] = rng.Int63n(100_000)
+	}
+	c := NewColumn("f", vals, WithMaxPieces(16))
+	for q := 0; q < 5_000; q++ {
+		lo := rng.Int63n(100_000)
+		c.Count(lo, lo+rng.Int63n(2_000), true, false)
+	}
+	if c.Stats().Fusions == 0 {
+		t.Fatal("no fusion happened under a tight piece budget")
+	}
+	l := c.Lineage()
+	if n, bound := len(l.log), 2*max(l.kept, c.idx.Len())+64; l.kept == 0 || n > bound {
+		t.Fatalf("log holds %d records (last compaction kept %d), want <= %d", n, l.kept, bound)
+	}
+	compacted := *l
+	compacted.compact()
+	if got, want := compacted.Render(), l.Render(); got != want {
+		t.Fatalf("compaction changed the lineage:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	// Every record left attaches at least two children.
+	if n := len(compacted.log); compacted.Size() < 1+2*n {
+		t.Fatalf("compacted log holds %d records for only %d nodes", n, compacted.Size())
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	c := NewColumn("a", []int64{5, 3, 8, 1, 9, 2})
 	if s := c.Stats(); s.Queries != 0 {

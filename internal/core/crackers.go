@@ -138,8 +138,8 @@ func JoinCrack(rv, sv View) JoinPieces {
 		rSet[v] = struct{}{}
 	}
 
-	rSplit := r.partitionByMembership(rv.Lo, rv.Hi, sSet, "⋉ "+s.name)
-	sSplit := s.partitionByMembership(sv.Lo, sv.Hi, rSet, "⋉ "+r.name)
+	rSplit := r.partitionByMembership(rv.Lo, rv.Hi, sSet, s.name)
+	sSplit := s.partitionByMembership(sv.Lo, sv.Hi, rSet, r.name)
 
 	return JoinPieces{
 		RMatch: View{col: r, Lo: rv.Lo, Hi: rSplit},
@@ -150,10 +150,11 @@ func JoinCrack(rv, sv View) JoinPieces {
 }
 
 // partitionByMembership shuffles vals[lo:hi) so members of set form the
-// prefix, drops invalidated interior cuts, and records lineage. The
-// caller holds c.mu. Swaps are inlined on the two slices with a local
-// move counter, flushed to the atomic stats once per pass.
-func (c *Column) partitionByMembership(lo, hi int, set map[int64]struct{}, detail string) int {
+// prefix, drops invalidated interior cuts, and records lineage against
+// the partner column. The caller holds c.mu. Swaps are inlined on the
+// two slices with a local move counter, flushed to the atomic stats
+// once per pass.
+func (c *Column) partitionByMembership(lo, hi int, set map[int64]struct{}, partner string) int {
 	for _, cut := range c.idx.Cuts() {
 		if cut.Pos > lo && cut.Pos < hi {
 			c.idx.Delete(cut.Val, cut.Incl)
@@ -181,9 +182,7 @@ func (c *Column) partitionByMembership(lo, hi int, set map[int64]struct{}, detai
 	c.stats.cracks.Add(1)
 	c.stats.tuplesTouched.Add(int64(hi - lo))
 	c.stats.tuplesMoved.Add(moved)
-	if leaf := c.lin.LeafCovering(lo, hi); leaf != nil && i > lo && i < hi {
-		c.lin.Crack(leaf, "^", detail, [2]int{lo, i}, [2]int{i, hi})
-	}
+	c.lin.record(crackRec{kind: crackJoin, lo: lo, hi: hi, m1: i, m2: i, v1: c.lin.partner(partner)}, c.idx.Len())
 	return i
 }
 
@@ -207,24 +206,21 @@ func GroupCrack(c *Column) []Group {
 	c.sortLocked("Ω group crack")
 
 	var groups []Group
+	var starts []int
 	n := len(c.vals)
 	for lo := 0; lo < n; {
 		v := c.vals[lo]
 		hi := lo + sort.Search(n-lo, func(i int) bool { return c.vals[lo+i] > v })
 		groups = append(groups, Group{Value: v, View: View{col: c, Lo: lo, Hi: hi}})
-		if lo > 0 && (c.maxPieces <= 0 || c.idx.Len()+1 < c.maxPieces) {
-			c.idx.Insert(v, false, lo)
+		if lo > 0 {
+			starts = append(starts, lo)
+			if c.maxPieces <= 0 || c.idx.Len()+1 < c.maxPieces {
+				c.idx.Insert(v, false, lo)
+			}
 		}
 		lo = hi
 	}
-	root := c.lin.Leaves()[0]
-	if len(groups) > 1 {
-		ranges := make([][2]int, len(groups))
-		for i, g := range groups {
-			ranges[i] = [2]int{g.View.Lo, g.View.Hi}
-		}
-		c.lin.Crack(root, "Ω", "group by "+c.name, ranges...)
-	}
+	c.lin.splitRoot(crackGroup, starts)
 	return groups
 }
 

@@ -18,9 +18,9 @@ import (
 // continues exactly where the pre-crash one left off.
 //
 // Deliberately volatile (not exported): the work counters (Stats) and the
-// lineage DAG's crack history. Counters restart at zero; the lineage is
-// rebuilt flat — one root cracked into the current leaf pieces — because
-// the piece tiling, not the order cracks happened in, is what queries and
+// lineage's crack log. Counters restart at zero; the log is rebuilt flat —
+// one record cracking the root into the current pieces — because the
+// piece tiling, not the order cracks happened in, is what queries and
 // invariants consume.
 
 // StrategyState is the serializable identity of a crack strategy: its
@@ -130,11 +130,12 @@ func ColumnFromState(st ColumnState, opts ...Option) (*Column, error) {
 	}
 	// Rebuild a flat lineage: one root cracked into the restored pieces.
 	// The crack-by-crack history is deliberately volatile (see above).
-	c.lin = NewLineage(c.name)
-	root := c.lin.Root(0, len(c.vals))
-	if pieces := c.idx.Pieces(len(c.vals)); len(pieces) > 1 {
-		c.lin.Crack(root, "Ξ", "restored", pieces...)
+	c.lin = Lineage{table: c.name, n: len(c.vals)}
+	var starts []int
+	for _, p := range c.idx.Pieces(len(c.vals))[1:] {
+		starts = append(starts, p[0])
 	}
+	c.lin.splitRoot(crackRestore, starts)
 	for _, o := range opts {
 		o(c)
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -12,19 +14,23 @@ import (
 // rendering reproduces the trees of Figures 5 and 6, and it supports the
 // loss-less reconstruction guarantee: the original table is recoverable
 // from the leaves.
+//
+// The DAG is stored as an append-only crack log. Crackers append one
+// fixed-size, pointer-free record per registered crack under the column
+// write lock they already hold: no node allocation, no string
+// formatting, no leaf lookup. Readers (Render, Leaves, Size, Node)
+// rebuild the DAG by replaying the log. A crack whose piece no longer
+// lies inside one lineage leaf — fusion, a ^ crack or a ripple merge
+// moved the index's cuts away from the recorded ones — attaches nothing
+// at replay.
 type Lineage struct {
-	table string
-	seq   int
-	roots []*PieceNode
-	byID  map[string]*PieceNode
-
-	// leaves is the current leaf set, sorted by Lo, maintained
-	// incrementally by Root and Crack. Cracking consults the leaf
-	// covering a piece on every partition pass, so leaf lookup must not
-	// walk the DAG: with k accumulated cuts a full-walk lookup costs
-	// O(k) per crack and O(k²) over a query sequence — measurably the
-	// dominant cost of long crack sequences before this cache existed.
-	leaves []*PieceNode
+	table  string
+	n      int    // the root piece is [0, n)
+	detail string // how the root was produced ("" for a fresh column)
+	log    []crackRec
+	cuts   []int    // split positions of n-way records
+	joined []string // partner columns of ^ records
+	kept   int      // records left by the last compaction
 }
 
 // PieceNode is one piece in the lineage DAG.
@@ -37,102 +43,226 @@ type PieceNode struct {
 	Children []*PieceNode
 }
 
-// NewLineage starts lineage tracking for a table (or cracker column).
-func NewLineage(table string) *Lineage {
-	l := &Lineage{table: table, byID: make(map[string]*PieceNode)}
-	return l
+// crackKind says which cracker a log record comes from; the node detail
+// is formatted from it at replay.
+type crackKind uint8
+
+const (
+	crackCut     crackKind = iota // Ξ crack-in-two: "col <= v1" / "col < v1"
+	crackRange                    // Ξ crack-in-three: "col ∈ cut(v1,v2)"
+	crackJoin                     // ^: "⋉ joined[v1]"
+	crackGroup                    // Ω, n-way
+	crackRestore                  // Ξ "restored", n-way
+)
+
+// crackRec is one logged crack of the piece [lo, hi). Two- and
+// three-way cracks split it at m1 <= m2 into the non-empty ones of
+// [lo,m1), [m1,m2) and [m2,hi); n-way cracks split it at cuts[m1:m2].
+type crackRec struct {
+	lo, hi, m1, m2 int
+	v1, v2         int64 // bound values; crackJoin: index into joined
+	kind           crackKind
+	incl           bool // crackCut: the cut is <= v1
 }
 
-// Root registers a root piece covering [lo, hi) and returns it.
-func (l *Lineage) Root(lo, hi int) *PieceNode {
-	n := &PieceNode{ID: l.nextID(), Lo: lo, Hi: hi}
-	l.roots = append(l.roots, n)
-	l.byID[n.ID] = n
-	// Keep the leaf cache sorted; roots arrive in arbitrary positions.
-	at := sort.Search(len(l.leaves), func(i int) bool { return l.leaves[i].Lo > n.Lo })
-	l.leaves = append(l.leaves, nil)
-	copy(l.leaves[at+1:], l.leaves[at:])
-	l.leaves[at] = n
-	return n
+// snapshot returns a read-only copy sharing the log. Records are never
+// rewritten in place (compaction builds new slices), so the copy stays
+// valid while the column keeps appending.
+func (l *Lineage) snapshot() *Lineage {
+	s := *l
+	s.log, s.cuts, s.joined = slices.Clip(s.log), slices.Clip(s.cuts), slices.Clip(s.joined)
+	return &s
 }
 
-// Crack records that parent was broken by op into the given position
-// ranges and returns the child nodes, in order.
-func (l *Lineage) Crack(parent *PieceNode, op, detail string, ranges ...[2]int) []*PieceNode {
-	children := make([]*PieceNode, 0, len(ranges))
-	for _, r := range ranges {
-		c := &PieceNode{
-			ID:     l.nextID(),
-			Op:     op,
-			Detail: detail,
-			Lo:     r[0],
-			Hi:     r[1],
-			Parent: parent,
+// partner interns the name of a ^ crack's partner column.
+func (l *Lineage) partner(name string) int64 {
+	at := slices.Index(l.joined, name)
+	if at < 0 {
+		at = len(l.joined)
+		l.joined = append(l.joined, name)
+	}
+	return int64(at)
+}
+
+// splitRoot logs an n-way crack of the root at the given ascending
+// positions. Only a fresh lineage is split this way (Ω right after its
+// sort, restore right after rebuilding the column).
+func (l *Lineage) splitRoot(kind crackKind, at []int) {
+	if len(at) == 0 {
+		return
+	}
+	l.cuts = append(l.cuts, at...)
+	l.log = append(l.log, crackRec{kind: kind, hi: l.n, m1: len(l.cuts) - len(at), m2: len(l.cuts)})
+}
+
+// record appends one crack. live bounds the records that can still
+// attach: each attaching Ξ record registered at least one cut, so a log
+// that outgrows twice the index (and twice its last compacted size) is
+// mostly cracks of pieces fusion, ^ or ripple merges have moved, and is
+// compacted. Without fusion or ^ the log never outgrows the index.
+func (l *Lineage) record(r crackRec, live int) {
+	l.log = append(l.log, r)
+	if len(l.log) > 2*max(l.kept, live)+64 {
+		l.compact()
+	}
+}
+
+// compact drops the records replay would skip. It writes a fresh log,
+// leaving the one earlier snapshots share untouched. cuts needs no
+// compaction: only the first record of a log splits n ways.
+func (l *Lineage) compact() {
+	log := make([]crackRec, 0, len(l.log)/2)
+	l.replay(func(r *crackRec, _ int, _ [][2]int) { log = append(log, *r) })
+	l.log, l.kept = log, len(log)
+}
+
+// replay walks the log in order and calls split for every record that
+// cracks a current leaf, with the leaf's node number and the non-empty
+// child ranges (valid only during the call). Nodes are numbered in
+// creation order from the root, 0.
+//
+// Leaves are disjoint and, apart from an empty root, non-empty, so the
+// leaf holding position lo is the one with the greatest start <= lo; a
+// bitmap of leaf starts finds it by scanning back to the previous set
+// bit.
+func (l *Lineage) replay(split func(r *crackRec, parent int, children [][2]int)) {
+	span := l.n
+	for i := range l.log {
+		span = max(span, l.log[i].hi)
+	}
+	type leaf struct{ node, hi int }
+	starts := make([]uint64, span/64+1)
+	leaves := make(map[int]leaf)
+	setLeaf := func(lo, hi, node int) {
+		starts[lo/64] |= 1 << (lo % 64)
+		leaves[lo] = leaf{node, hi}
+	}
+	if l.n > 0 {
+		setLeaf(0, l.n, 0)
+	}
+	nodes := 1
+	var bounds []int
+	var children [][2]int
+	for i := range l.log {
+		r := &l.log[i]
+		w := r.lo / 64
+		word := starts[w] & (2<<(r.lo%64) - 1)
+		for word == 0 && w > 0 {
+			w--
+			word = starts[w]
 		}
-		parent.Children = append(parent.Children, c)
-		l.byID[c.ID] = c
-		children = append(children, c)
+		if word == 0 {
+			continue
+		}
+		lo := w*64 + 63 - bits.LeadingZeros64(word)
+		parent := leaves[lo]
+		if r.hi > parent.hi {
+			continue
+		}
+		if r.kind >= crackGroup {
+			bounds = append(append(bounds[:0], l.cuts[r.m1:r.m2]...), r.hi)
+		} else {
+			bounds = append(bounds[:0], r.m1, r.m2, r.hi)
+		}
+		children = children[:0]
+		prev := r.lo
+		for _, p := range bounds {
+			if p > prev {
+				children = append(children, [2]int{prev, p})
+			}
+			prev = p
+		}
+		if len(children) < 2 {
+			continue
+		}
+		starts[lo/64] &^= 1 << (lo % 64)
+		delete(leaves, lo)
+		for k, ch := range children {
+			setLeaf(ch[0], ch[1], nodes+k)
+		}
+		split(r, parent.node, children)
+		nodes += len(children)
 	}
-	// Replace parent with its children in the leaf cache. The children
-	// tile a subrange of the parent in ascending order, so splicing them
-	// into the parent's slot preserves the sort.
-	if len(children) == 0 {
-		return children
-	}
-	if at, ok := l.leafIndex(parent); ok {
-		l.leaves = append(l.leaves, make([]*PieceNode, len(children)-1)...)
-		copy(l.leaves[at+len(children):], l.leaves[at+1:])
-		copy(l.leaves[at:], children)
-	}
-	return children
 }
 
-// leafIndex locates a node in the sorted leaf cache.
-func (l *Lineage) leafIndex(n *PieceNode) (int, bool) {
-	at := sort.Search(len(l.leaves), func(i int) bool { return l.leaves[i].Lo >= n.Lo })
-	for ; at < len(l.leaves) && l.leaves[at].Lo == n.Lo; at++ {
-		if l.leaves[at] == n {
-			return at, true
+// dag rebuilds the piece nodes; the root is the first.
+func (l *Lineage) dag() []PieceNode {
+	nodes := []PieceNode{{ID: l.id(1), Detail: l.detail, Hi: l.n}}
+	type crack struct{ parent, first, n int }
+	var cracks []crack
+	l.replay(func(r *crackRec, parent int, children [][2]int) {
+		op, detail := l.describe(r)
+		cracks = append(cracks, crack{parent, len(nodes), len(children)})
+		for _, ch := range children {
+			nodes = append(nodes, PieceNode{ID: l.id(len(nodes) + 1), Op: op, Detail: detail, Lo: ch[0], Hi: ch[1]})
+		}
+	})
+	// Link only once nodes has stopped growing, so pointers stay valid.
+	ptrs := make([]*PieceNode, len(nodes))
+	for i := range nodes {
+		ptrs[i] = &nodes[i]
+	}
+	for _, c := range cracks {
+		kids := ptrs[c.first : c.first+c.n : c.first+c.n]
+		nodes[c.parent].Children = kids
+		for _, k := range kids {
+			k.Parent = &nodes[c.parent]
 		}
 	}
-	return 0, false
+	return nodes
 }
 
-// LeafCovering returns the leaf whose range contains [lo, hi), or nil.
-// Leaves tile disjoint ranges in sorted order, so the only candidate is
-// the rightmost leaf starting at or before lo.
-func (l *Lineage) LeafCovering(lo, hi int) *PieceNode {
-	at := sort.Search(len(l.leaves), func(i int) bool { return l.leaves[i].Lo > lo })
-	if at == 0 {
-		return nil
-	}
-	if leaf := l.leaves[at-1]; hi <= leaf.Hi {
-		return leaf
-	}
-	return nil
+func (l *Lineage) id(seq int) string {
+	return l.table + "[" + strconv.Itoa(seq) + "]"
 }
 
-func (l *Lineage) nextID() string {
-	l.seq++
-	return fmt.Sprintf("%s[%d]", l.table, l.seq)
+// describe names the cracker and formats the detail of a record.
+func (l *Lineage) describe(r *crackRec) (op, detail string) {
+	switch r.kind {
+	case crackCut:
+		return "Ξ", fmt.Sprintf("%s %s %d", l.table, cutOpString(r.incl), r.v1)
+	case crackRange:
+		return "Ξ", fmt.Sprintf("%s ∈ cut(%d,%d)", l.table, r.v1, r.v2)
+	case crackJoin:
+		return "^", "⋉ " + l.joined[r.v1]
+	case crackGroup:
+		return "Ω", "group by " + l.table
+	default:
+		return "Ξ", "restored"
+	}
 }
 
 // Node looks up a piece by ID.
 func (l *Lineage) Node(id string) (*PieceNode, bool) {
-	n, ok := l.byID[id]
-	return n, ok
+	nodes := l.dag()
+	for i := range nodes {
+		if nodes[i].ID == id {
+			return &nodes[i], true
+		}
+	}
+	return nil, false
 }
 
 // Leaves returns the current pieces (nodes without children), sorted by
-// physical position. Their position ranges tile the union of the roots —
-// the loss-less property. The returned slice is a copy of the
-// incrementally maintained leaf cache.
+// physical position. Their position ranges tile the root — the
+// loss-less property.
 func (l *Lineage) Leaves() []*PieceNode {
-	return append([]*PieceNode(nil), l.leaves...)
+	var out []*PieceNode
+	var walk func(n *PieceNode)
+	walk = func(n *PieceNode) {
+		if len(n.Children) == 0 {
+			out = append(out, n)
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(&l.dag()[0])
+	return out
 }
 
 // Size returns the total number of registered pieces.
-func (l *Lineage) Size() int { return len(l.byID) }
+func (l *Lineage) Size() int { return len(l.dag()) }
 
 // Render draws the lineage as an indented tree, the textual analogue of
 // the paper's Figure 5 / Figure 6 graphs.
@@ -150,8 +280,6 @@ func (l *Lineage) Render() string {
 			walk(c, depth+1)
 		}
 	}
-	for _, r := range l.roots {
-		walk(r, 0)
-	}
+	walk(&l.dag()[0], 0)
 	return b.String()
 }
