@@ -543,8 +543,9 @@ func (r *Result) Values() []int64 { return r.vals }
 // When the store's sideways maps can serve the projection — the result
 // came from Select and no insert has landed inside its range since —
 // the rows are assembled by sequentially scanning the co-cracked
-// (key, payload) windows; otherwise each tuple is reconstructed through
-// its OID against the base table.
+// (key, payload) windows; otherwise each projected column is gathered
+// through the OIDs from the base table. Either way the rows slice one
+// flat backing array.
 func (r *Result) Rows(cols ...string) ([][]int64, error) {
 	// Sideways maps are keyed by table name, so only the table's live
 	// wrapper may feed them: a stale Result — its table dropped (and
@@ -553,29 +554,17 @@ func (r *Result) Rows(cols ...string) ([][]int64, error) {
 	// through to the base fetch, which answers from their own snapshot.
 	if r.hasRange && r.store != nil && r.store.currentCracked(r.table.Name) == r.cracked {
 		if wins, ok := r.store.sideways.Project(r.cracked, r.table.Name, r.rng, cols, len(r.oids)); ok {
-			n := len(r.oids)
-			backing := make([]int64, n*len(cols))
-			out := make([][]int64, n)
-			for i := range out {
-				out[i] = backing[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
-			}
-			for j, w := range wins {
-				for i, v := range w {
-					out[i][j] = v
+			n, w := len(r.oids), len(cols)
+			backing := make([]int64, n*w)
+			for j, win := range wins {
+				for i, v := range win {
+					backing[i*w+j] = v
 				}
 			}
-			return out, nil
+			return core.FlatRows(backing, n, w), nil
 		}
 	}
-	res, err := r.cracked.Fetch(r.oids, cols...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int64, res.Len())
-	for i := range out {
-		out[i] = res.Row(i)
-	}
-	return out, nil
+	return r.cracked.FetchRows(r.oids, cols...)
 }
 
 // WriteTo streams the qualifying values to a front-end writer as decimal

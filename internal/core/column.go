@@ -331,8 +331,21 @@ func (c *Column) Select(low, high int64, lowIncl, highIncl bool) View {
 // the safe form under concurrent cracking: a View's windows alias the
 // column and may be shuffled by cracks that run after Select returns.
 func (c *Column) SelectCopy(low, high int64, lowIncl, highIncl bool) ([]int64, []bat.OID) {
-	// SelectCopy allocates its answer anyway, so the instrumentation
-	// branch is inline rather than a split path like Select's.
+	return c.copyWindow(low, high, lowIncl, highIncl, true)
+}
+
+// SelectOIDs is SelectCopy without the values: only the window's OIDs
+// are copied — all a conjunction's residual filter needs.
+func (c *Column) SelectOIDs(r expr.Range) []bat.OID {
+	_, oids := c.copyWindow(r.Low, r.High, r.LowIncl, r.HighIncl, false)
+	return oids
+}
+
+// copyWindow answers the range and copies the window's OIDs, and its
+// values when withVals is set, before the column lock is released.
+func (c *Column) copyWindow(low, high int64, lowIncl, highIncl, withVals bool) ([]int64, []bat.OID) {
+	// The answer is allocated anyway, so the instrumentation branch is
+	// inline rather than a split path like Select's.
 	in := c.instr.Load()
 	var t0 time.Time
 	sampled := false
@@ -344,8 +357,7 @@ func (c *Column) SelectCopy(low, high int64, lowIncl, highIncl bool) ([]int64, [
 	}
 	c.mu.RLock()
 	if v, ok := c.lookupFast(low, high, lowIncl, highIncl); ok {
-		vals := append([]int64(nil), c.vals[v.Lo:v.Hi]...)
-		oids := append([]bat.OID(nil), c.oids[v.Lo:v.Hi]...)
+		vals, oids := c.copyViewLocked(v, withVals)
 		c.mu.RUnlock()
 		if in != nil && sampled && in.ReadHold != nil {
 			in.ReadHold.Observe(time.Since(t0).Nanoseconds())
@@ -363,13 +375,16 @@ func (c *Column) SelectCopy(low, high int64, lowIncl, highIncl bool) ([]int64, [
 	if in != nil {
 		c.finishWriteHold(in, hs, low, high)
 	}
-	return append([]int64(nil), c.vals[v.Lo:v.Hi]...),
-		append([]bat.OID(nil), c.oids[v.Lo:v.Hi]...)
+	return c.copyViewLocked(v, withVals)
 }
 
-// SelectRangeCopy is SelectCopy for an expr.Range.
-func (c *Column) SelectRangeCopy(r expr.Range) ([]int64, []bat.OID) {
-	return c.SelectCopy(r.Low, r.High, r.LowIncl, r.HighIncl)
+// copyViewLocked copies a window's OIDs, and its values when withVals is
+// set. The caller holds the column lock.
+func (c *Column) copyViewLocked(v View, withVals bool) (vals []int64, oids []bat.OID) {
+	if withVals {
+		vals = append([]int64(nil), c.vals[v.Lo:v.Hi]...)
+	}
+	return vals, append([]bat.OID(nil), c.oids[v.Lo:v.Hi]...)
 }
 
 // lookupFast is the optimistic read path: it answers the query iff doing

@@ -243,13 +243,13 @@ func TestCrackedTableSelectTerm(t *testing.T) {
 	ct := NewCrackedTable(tbl)
 	term := termGE_LT("a", 50, 150)
 	term = append(term, predLT("k", 12)...)
-	oids, err := ct.SelectTerm(term)
+	oids, _, err := ct.SelectTermPlanned(term)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// a in [50,150) → k in {5..14}; k < 12 → k in {5..11}.
 	if len(oids) != 7 {
-		t.Fatalf("SelectTerm found %d, want 7", len(oids))
+		t.Fatalf("SelectTermPlanned found %d, want 7", len(oids))
 	}
 	want := tbl.Filter("ref", term)
 	if want.Len() != len(oids) {

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"math"
-	"sort"
-
-	"crackdb/internal/bat"
-	"crackdb/internal/expr"
-)
+import "crackdb/internal/expr"
 
 // Selectivity estimation from the cracker index alone — the §3.3
 // observation that after cracking "the pieces of interest for query
@@ -102,60 +96,4 @@ func (ct *CrackedTable) EstimateTerm(term expr.Term) Estimate {
 		}
 	}
 	return best
-}
-
-// SelectTermPlanned answers a conjunctive term like SelectTerm, but uses
-// index statistics to pick the driving column before cracking: only the
-// column with the smallest estimated answer is cracked, the rest of the
-// conjunction is evaluated on its candidates. Columns without statistics
-// are estimated at full size, so a cracked column is preferred over a
-// virgin one — unless the planner has nothing better, in which case the
-// first advised column is cracked (and gains statistics for next time).
-func (ct *CrackedTable) SelectTermPlanned(term expr.Term) ([]bat.OID, *Column, error) {
-	advice := expr.CrackAdvice(term)
-	if len(advice) == 0 {
-		oids, err := ct.filterOIDs(allOIDs(ct.baseLen()), term)
-		return oids, nil, err
-	}
-
-	// Iterate the advice in sorted column order so estimate ties break
-	// deterministically.
-	cols := make([]string, 0, len(advice))
-	for col := range advice {
-		cols = append(cols, col)
-	}
-	sort.Strings(cols)
-	bestCol, bestEst := "", Estimate{Max: math.MaxInt}
-	for _, col := range cols {
-		ct.mu.RLock()
-		c, tracked := ct.cols[col]
-		ct.mu.RUnlock()
-		est := Estimate{Min: 0, Max: ct.baseLen()}
-		if tracked {
-			est = c.EstimateRange(advice[col])
-		}
-		if est.Max < bestEst.Max || bestCol == "" {
-			bestCol, bestEst = col, est
-		}
-	}
-
-	col, err := ct.ColumnFor(bestCol)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Copy under the column lock: view windows would alias state that a
-	// concurrent crack may shuffle.
-	_, cands := col.SelectRangeCopy(advice[bestCol])
-	if ct.selectObs != nil {
-		// The driving column absorbed a single-range selection, exactly
-		// like Select/SelectCopy — the sideways and tuner observers must
-		// see it, or queries arriving through the conjunction planner
-		// (every scalar SQL statement) are invisible to them.
-		ct.selectObs(advice[bestCol])
-	}
-	oids, err := ct.filterOIDs(cands, term)
-	if err != nil {
-		return nil, nil, err
-	}
-	return oids, col, nil
 }

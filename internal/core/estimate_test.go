@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -144,23 +145,33 @@ func TestSelectTermPlannedMatchesUnplanned(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	tbl := buildTable(t)
 	planned := NewCrackedTable(tbl)
-	unplanned := NewCrackedTable(tbl)
 	for q := 0; q < 40; q++ {
 		lo := rng.Int63n(150)
 		term := termGE_LT("a", lo, lo+40)
 		if rng.Intn(2) == 0 {
 			term = append(term, expr.Pred{Col: "k", Op: expr.Lt, Val: rng.Int63n(20)})
 		}
+		if rng.Intn(3) == 0 {
+			term = append(term, expr.Pred{Col: "b", Op: expr.Ne, Val: 100 - lo/10})
+		}
 		a, _, err := planned.SelectTermPlanned(term)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := unplanned.SelectTerm(term)
+		n, err := planned.CountTerm(term)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("query %d: planned %d oids, unplanned %d", q, len(a), len(b))
+		// The naive scan is the oracle: k is the OID in buildTable.
+		want := tbl.Filter("ref", term)
+		if len(a) != want.Len() || n != want.Len() {
+			t.Fatalf("query %d %v: planned %d oids, count %d, naive scan %d", q, term, len(a), n, want.Len())
+		}
+		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+		for i, oid := range a {
+			if int64(oid) != want.RowMap(i)["k"] {
+				t.Fatalf("query %d: oid %d does not match naive row %d", q, oid, i)
+			}
 		}
 	}
 }

@@ -34,7 +34,7 @@ type CrackedTable struct {
 	// and are instead excluded at the two places a query can reach them:
 	// cracker columns drop them at consolidation (Column.Delete is
 	// forwarded per delete, or applied at creation for columns cracked
-	// later), and the no-advice base scan skips them in filterOIDs.
+	// later), and the no-advice base scan skips them (see execTerm).
 	tomb map[bat.OID]struct{}
 
 	// selectObs, when set, is invoked after every single-range selection
@@ -215,92 +215,76 @@ func (ct *CrackedTable) SelectCopy(r expr.Range) ([]int64, []bat.OID, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	vals, oids := c.SelectRangeCopy(r)
+	vals, oids := c.SelectCopy(r.Low, r.High, r.LowIncl, r.HighIncl)
 	if ct.selectObs != nil {
 		ct.selectObs(r)
 	}
 	return vals, oids, nil
 }
 
-// SelectTerm answers a conjunctive term: the term's crack advice is
-// applied to the most selective advised column (smallest resulting
-// piece), and the remaining conjuncts are evaluated by fetching attribute
-// values through the OIDs — a select-push-down the Ξ cracker "effectively
-// realizes" for the optimizer (§3.3).
-func (ct *CrackedTable) SelectTerm(term expr.Term) ([]bat.OID, error) {
-	advice := expr.CrackAdvice(term)
-	if len(advice) == 0 {
-		// No crackable range: scan everything and post-filter.
-		return ct.filterOIDs(allOIDs(ct.baseLen()), term)
-	}
-	var best []bat.OID
-	bestCol := ""
-	for col, r := range advice {
-		c, err := ct.ColumnFor(r.Col)
-		if err != nil {
+// Fetch materializes the requested attributes for the given OIDs, in OID
+// argument order, as a relation — tuple reconstruction through the
+// surrogate key.
+func (ct *CrackedTable) Fetch(oids []bat.OID, attrs ...string) (*relation.Table, error) {
+	cols := make([]relation.Column, len(attrs))
+	ct.baseMu.RLock()
+	for i, a := range attrs {
+		vals := make([]int64, len(oids))
+		if err := ct.gatherLocked(a, oids, vals, 1); err != nil {
+			ct.baseMu.RUnlock()
 			return nil, err
 		}
-		_, oids := c.SelectRangeCopy(r)
-		if bestCol == "" || len(oids) < len(best) {
-			best, bestCol = oids, col
-		}
+		cols[i] = relation.Column{Name: a, Data: bat.FromInts(ct.base.Name+"_result_"+a, vals)}
 	}
-	return ct.filterOIDs(best, term)
+	ct.baseMu.RUnlock()
+	ct.fetched.Add(int64(len(oids)))
+	return relation.FromColumns(ct.base.Name+"_result", cols...)
 }
 
-// filterOIDs applies the full term to candidate OIDs via the base table.
-func (ct *CrackedTable) filterOIDs(cands []bat.OID, term expr.Term) ([]bat.OID, error) {
-	ct.baseMu.RLock()
-	defer ct.baseMu.RUnlock()
-	var out []bat.OID
-	for _, oid := range cands {
-		if _, dead := ct.tomb[oid]; dead {
-			continue
+// FetchRows is Fetch as rows: each attribute is gathered column at a
+// time into one flat backing array that the rows slice, so nothing is
+// allocated per row.
+func (ct *CrackedTable) FetchRows(oids []bat.OID, attrs ...string) ([][]int64, error) {
+	w := len(attrs)
+	backing := make([]int64, len(oids)*w)
+	if len(oids) > 0 {
+		ct.baseMu.RLock()
+		for j, a := range attrs {
+			if err := ct.gatherLocked(a, oids, backing[j:], w); err != nil {
+				ct.baseMu.RUnlock()
+				return nil, err
+			}
 		}
-		row := ct.base.RowMap(int(oid))
-		if term.Match(row) {
-			out = append(out, oid)
-		}
+		ct.baseMu.RUnlock()
 	}
-	return out, nil
+	ct.fetched.Add(int64(len(oids)))
+	return FlatRows(backing, len(oids), w), nil
 }
 
-func allOIDs(n int) []bat.OID {
-	out := make([]bat.OID, n)
+// FlatRows slices a row-major backing array into n rows of width w.
+func FlatRows(backing []int64, n, w int) [][]int64 {
+	out := make([][]int64, n)
 	for i := range out {
-		out[i] = bat.OID(i)
+		out[i] = backing[i*w : (i+1)*w : (i+1)*w]
 	}
 	return out
 }
 
-// Fetch materializes the requested attributes for the given OIDs, in OID
-// argument order — tuple reconstruction through the surrogate key.
-func (ct *CrackedTable) Fetch(oids []bat.OID, attrs ...string) (*relation.Table, error) {
-	ct.baseMu.RLock()
-	defer ct.baseMu.RUnlock()
-	out := relation.New(ct.base.Name+"_result", attrs...)
-	bats := make([]*bat.BAT, len(attrs))
-	for i, a := range attrs {
-		b, err := ct.base.Column(a)
-		if err != nil {
-			return nil, err
-		}
-		bats[i] = b
+// gatherLocked writes attr's value of oids[i] to dst[i*stride]. The
+// caller holds baseMu.
+func (ct *CrackedTable) gatherLocked(attr string, oids []bat.OID, dst []int64, stride int) error {
+	b, err := ct.base.Column(attr)
+	if err != nil {
+		return err
 	}
-	row := make([]int64, len(attrs))
-	for _, oid := range oids {
-		if int(oid) >= ct.base.Len() {
-			return nil, fmt.Errorf("core: fetch of unknown oid %d", oid)
+	vals := b.Ints()
+	for i, oid := range oids {
+		if int(oid) >= len(vals) {
+			return fmt.Errorf("core: fetch of unknown oid %d", oid)
 		}
-		for i, b := range bats {
-			row[i] = b.Int(int(oid))
-		}
-		if err := out.AppendRow(row...); err != nil {
-			return nil, err
-		}
+		dst[i*stride] = vals[oid]
 	}
-	ct.fetched.Add(int64(len(oids)))
-	return out, nil
+	return nil
 }
 
 // BaseLen returns the base relation's current cardinality under the
@@ -337,19 +321,11 @@ func (ct *CrackedTable) BaseRows(from, to int, attrs ...string) ([][]int64, erro
 // toward FetchedTuples: it is map construction, not per-query tuple
 // reconstruction.
 func (ct *CrackedTable) GatherBase(attr string, oids []bat.OID) ([]int64, error) {
+	out := make([]int64, len(oids))
 	ct.baseMu.RLock()
 	defer ct.baseMu.RUnlock()
-	b, err := ct.base.Column(attr)
-	if err != nil {
+	if err := ct.gatherLocked(attr, oids, out, 1); err != nil {
 		return nil, err
-	}
-	n := ct.base.Len()
-	out := make([]int64, len(oids))
-	for i, oid := range oids {
-		if int(oid) >= n {
-			return nil, fmt.Errorf("core: gather of unknown oid %d", oid)
-		}
-		out[i] = b.Int(int(oid))
 	}
 	return out, nil
 }

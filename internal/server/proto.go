@@ -159,6 +159,11 @@ type Response struct {
 	Rows    [][]string
 	Seq     uint64
 	HasSeq  bool
+
+	// ints holds a SQL result's rows on the serving side, in place of
+	// Rows: encode formats each cell straight into the frame, so no
+	// per-cell string is built. Decoded responses never set it.
+	ints [][]int64
 }
 
 // IsTabular reports whether the response carries a result table.
@@ -191,11 +196,20 @@ func (r *Response) encode(buf []byte) []byte {
 		b = append(b, '\n')
 	default:
 		b = append(b, "ok rows="...)
-		b = strconv.AppendInt(b, int64(len(r.Rows)), 10)
+		b = strconv.AppendInt(b, int64(len(r.Rows)+len(r.ints)), 10)
 		b = append(b, '\n')
 		b = appendTabLine(b, r.Columns)
 		for _, row := range r.Rows {
 			b = appendTabLine(b, row)
+		}
+		for _, row := range r.ints {
+			for i, v := range row {
+				if i > 0 {
+					b = append(b, '\t')
+				}
+				b = strconv.AppendInt(b, v, 10)
+			}
+			b = append(b, '\n')
 		}
 	}
 	return b

@@ -295,20 +295,13 @@ func (s *Server) dispatch(cmd string) (resp *Response, quit bool) {
 	return fromResultSet(rs), false
 }
 
-// fromResultSet renders a SQL result on the wire.
+// fromResultSet wraps a SQL result for the wire. The rows stay int64
+// until encode writes them into the frame.
 func fromResultSet(rs *sql.ResultSet) *Response {
 	if rs.Message != "" {
 		return &Response{Message: rs.Message}
 	}
-	out := &Response{Columns: rs.Columns, Rows: make([][]string, len(rs.Rows))}
-	for i, row := range rs.Rows {
-		cells := make([]string, len(row))
-		for j, v := range row {
-			cells[j] = strconv.FormatInt(v, 10)
-		}
-		out.Rows[i] = cells
-	}
-	return out
+	return &Response{Columns: rs.Columns, ints: rs.Rows}
 }
 
 // meta executes a /command.

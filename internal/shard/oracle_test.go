@@ -35,10 +35,13 @@ func canonical(rows [][]int64) string {
 // TestShardOracle is the sharding correctness property: for every
 // partition kind × shard count × crack strategy × workload pattern, a
 // sharded store must answer the exact query stream a single store
-// answers, byte-identically — counts, tuples and group counts. The
-// stream mixes range selects, point lookups, non-key predicates and a
-// mid-stream insert, so routing, fan-out merge and pending-update
-// consolidation are all on the hook.
+// answers, byte-identically — counts, tuples and group counts — and
+// both must match a naive scan over the rows the test inserted and did
+// not delete. The stream mixes range selects, point lookups, <> on the
+// driving column, a <>-only base scan, one- and two-column residuals, a mid-stream insert
+// and two predicate deletes, so routing, fan-out merge, the residual
+// filter and pending-update and tombstone consolidation are all on the
+// hook.
 func TestShardOracle(t *testing.T) {
 	const (
 		n       = 1500
@@ -101,26 +104,71 @@ func runOracleCell(t *testing.T, kind shard.Kind, nShards int, strat string, pat
 	if err != nil {
 		t.Fatal(err)
 	}
+	// live is the naive oracle: every row inserted and not deleted.
+	live := append([][]int64(nil), rows...)
+	cols := map[string]int{"k": 0, "v": 1, "g": 2}
+	naive := func(conds []crackdb.Cond) (match, rest [][]int64) {
+		for _, r := range live {
+			if rowMatches(r, cols, conds) {
+				match = append(match, r)
+			} else {
+				rest = append(rest, r)
+			}
+		}
+		return match, rest
+	}
+	deleteBoth := func(qi int, conds ...crackdb.Cond) {
+		want, rest := naive(conds)
+		live = rest
+		n1, err := single.Delete("t", conds...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n2, err := sharded.Delete("t", conds...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n1 != len(want) || n2 != len(want) {
+			t.Fatalf("query %d: Delete %v removed %d (single) and %d (sharded), naive %d", qi, conds, n1, n2, len(want))
+		}
+	}
 	for qi := 0; ; qi++ {
 		q, ok := gen.Next()
 		if !ok {
 			break
 		}
-		if qi == queries/2 {
+		switch qi {
+		case queries / 3: // key range with a residual
+			deleteBoth(qi, crackdb.Cond{Col: "k", Op: ">=", Val: q.Lo}, crackdb.Cond{Col: "k", Op: "<", Val: q.Lo + int64(n)/10},
+				crackdb.Cond{Col: "g", Op: "<>", Val: 7})
+		case queries / 2:
 			if err := single.InsertRows("t", extra); err != nil {
 				t.Fatal(err)
 			}
 			if err := sharded.InsertRows("t", extra); err != nil {
 				t.Fatal(err)
 			}
+			live = append(live, extra...)
+		case 3 * queries / 4: // non-key predicate: every shard deletes
+			deleteBoth(qi, crackdb.Cond{Col: "g", Op: "=", Val: 5})
 		}
 		conds := []crackdb.Cond{{Col: "k", Op: ">=", Val: q.Lo}, {Col: "k", Op: "<", Val: q.Hi}}
-		switch {
-		case qi%5 == 3: // point lookup on the partition key
+		switch qi % 6 {
+		case 0:
+			if qi%12 == 6 { // no crackable range: live base scan
+				conds = []crackdb.Cond{{Col: "g", Op: "<>", Val: int64(qi) % 64}}
+			}
+		case 2: // <> on the driving column stays in the residual
+			conds = append(conds, crackdb.Cond{Col: "k", Op: "<>", Val: q.Lo + 1})
+		case 3: // point lookup on the partition key
 			conds = []crackdb.Cond{{Col: "k", Op: "=", Val: q.Lo}}
-		case qi%5 == 4: // add a non-key predicate to the range
+		case 4: // add a non-key predicate to the range
 			conds = append(conds, crackdb.Cond{Col: "g", Op: "<", Val: 32})
+		case 5: // two-column residual, one of them <>
+			conds = append(conds, crackdb.Cond{Col: "g", Op: "<>", Val: int64(qi) % 64},
+				crackdb.Cond{Col: "v", Op: ">=", Val: int64(qi) * 20})
 		}
+		naiveRows, _ := naive(conds)
 
 		wantRes, err := single.SelectWhere("t", conds...)
 		if err != nil {
@@ -144,6 +192,13 @@ func runOracleCell(t *testing.T, kind shard.Kind, nShards int, strat string, pat
 		if want, got := canonical(wantRows), canonical(gotRows); want != got {
 			t.Fatalf("query %d %v: sharded result diverges from oracle\noracle:\n%s\nsharded:\n%s", qi, conds, want, got)
 		}
+		if want, got := canonical(naiveRows), canonical(wantRows); want != got {
+			t.Fatalf("query %d %v: single store diverges from the naive scan\nnaive:\n%s\nsingle:\n%s", qi, conds, want, got)
+		}
+		if wantRes.Count() != len(naiveRows) || len(wantRows) != len(naiveRows) || len(gotRows) != len(naiveRows) {
+			t.Fatalf("query %d %v: SelectWhere count %d with %d rows, sharded %d rows, naive %d",
+				qi, conds, wantRes.Count(), len(wantRows), len(gotRows), len(naiveRows))
+		}
 
 		wantN, err := single.CountWhere("t", conds...)
 		if err != nil {
@@ -155,6 +210,9 @@ func runOracleCell(t *testing.T, kind shard.Kind, nShards int, strat string, pat
 		}
 		if wantN != gotN {
 			t.Fatalf("query %d %v: CountWhere %d, oracle %d", qi, conds, gotN, wantN)
+		}
+		if wantN != len(naiveRows) {
+			t.Fatalf("query %d %v: CountWhere %d, naive %d", qi, conds, wantN, len(naiveRows))
 		}
 	}
 
@@ -175,6 +233,34 @@ func runOracleCell(t *testing.T, kind shard.Kind, nShards int, strat string, pat
 			t.Fatalf("GroupBy[%d]: %+v, oracle %+v", i, gotG[i], wantG[i])
 		}
 	}
+}
+
+// rowMatches is the naive evaluator of a conjunction over one row.
+func rowMatches(row []int64, cols map[string]int, conds []crackdb.Cond) bool {
+	for _, c := range conds {
+		v := row[cols[c.Col]]
+		var ok bool
+		switch c.Op {
+		case "<":
+			ok = v < c.Val
+		case "<=":
+			ok = v <= c.Val
+		case "=":
+			ok = v == c.Val
+		case ">=":
+			ok = v >= c.Val
+		case ">":
+			ok = v > c.Val
+		case "<>":
+			ok = v != c.Val
+		default:
+			panic("rowMatches: operator " + c.Op)
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // TestShardStatsLocality checks that crack state is shard-local: under

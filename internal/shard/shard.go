@@ -830,8 +830,9 @@ func (s *Store) LoadTapestry(name string, n, alpha int, seed int64) error {
 
 // Result is a selection merged across shards. Count is the sum of the
 // per-shard counts; Rows concatenates the per-shard tuples without
-// copying them (the merged slice shares the shards' row storage) and
-// sorts the merged set into the canonical lexicographic order
+// copying them (the merged slice shares the shards' row storage; one
+// shard's rows are used as they are) and sorts the merged set into the
+// canonical lexicographic order
 // (core.SortRows) — a shard's physical crack order depends on its
 // private query history, so canonical ordering is what makes a sharded
 // result byte-identical to a single store's for any shard count.
@@ -851,6 +852,14 @@ func (r *Result) Count() int {
 // Rows fetches the requested attributes of the qualifying tuples from
 // every shard and returns them canonically ordered.
 func (r *Result) Rows(cols ...string) ([][]int64, error) {
+	if len(r.parts) == 1 {
+		rows, err := r.parts[0].Rows(cols...)
+		if err != nil {
+			return nil, err
+		}
+		core.SortRows(rows)
+		return rows, nil
+	}
 	total := 0
 	for _, p := range r.parts {
 		total += p.Count()

@@ -5,6 +5,7 @@ import (
 
 	"crackdb/internal/durable"
 	"crackdb/internal/expr"
+	"crackdb/internal/relation"
 )
 
 // Conjunctive multi-predicate queries on the public API. The range
@@ -50,6 +51,38 @@ func (s *Store) SelectWhere(table string, conds ...Cond) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	term, err := termOf(table, t, conds)
+	if err != nil {
+		return nil, err
+	}
+	// The planner picks the driving column from cracker-index statistics
+	// and cracks only that one (paper §3.3: piece statistics let the
+	// optimizer cost plans for free).
+	oids, _, err := ct.SelectTermPlanned(term)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{store: s, table: t, cracked: ct, oids: oids}, nil
+}
+
+// CountWhere is SelectWhere returning only the qualifying-tuple count.
+// It runs the same plan, but a conjunction whose ranges all fall on the
+// driving column is answered from the crack window without copying it.
+func (s *Store) CountWhere(table string, conds ...Cond) (int, error) {
+	ct, t, err := s.crackedFor(table)
+	if err != nil {
+		return 0, err
+	}
+	term, err := termOf(table, t, conds)
+	if err != nil {
+		return 0, err
+	}
+	return ct.CountTerm(term)
+}
+
+// termOf validates a conjunction against the table's schema and converts
+// it to an expr.Term.
+func termOf(table string, t *relation.Table, conds []Cond) (expr.Term, error) {
 	term := make(expr.Term, 0, len(conds))
 	for _, c := range conds {
 		op, err := opOf(c.Op)
@@ -61,14 +94,7 @@ func (s *Store) SelectWhere(table string, conds ...Cond) (*Result, error) {
 		}
 		term = append(term, expr.Pred{Col: c.Col, Op: op, Val: c.Val})
 	}
-	// The planner picks the driving column from cracker-index statistics
-	// and cracks only that one (paper §3.3: piece statistics let the
-	// optimizer cost plans for free).
-	oids, _, err := ct.SelectTermPlanned(term)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{store: s, table: t, cracked: ct, oids: oids}, nil
+	return term, nil
 }
 
 // Delete removes the tuples matching the conjunction (every tuple when
@@ -86,18 +112,13 @@ func (s *Store) Delete(table string, conds ...Cond) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("crackdb: table %q does not exist", table)
 	}
-	term := make(expr.Term, 0, len(conds))
-	wconds := make([]durable.Cond, 0, len(conds))
-	for _, c := range conds {
-		op, err := opOf(c.Op)
-		if err != nil {
-			return 0, err
-		}
-		if !t.HasColumn(c.Col) {
-			return 0, fmt.Errorf("crackdb: table %q has no column %q", table, c.Col)
-		}
-		term = append(term, expr.Pred{Col: c.Col, Op: op, Val: c.Val})
-		wconds = append(wconds, durable.Cond{Col: c.Col, Op: c.Op, Val: c.Val})
+	term, err := termOf(table, t, conds)
+	if err != nil {
+		return 0, err
+	}
+	wconds := make([]durable.Cond, len(conds))
+	for i, c := range conds {
+		wconds[i] = durable.Cond{Col: c.Col, Op: c.Op, Val: c.Val}
 	}
 	if err := s.logRecord(durable.Record{Kind: durable.KindDelete, Table: table, Conds: wconds}); err != nil {
 		return 0, err
@@ -122,15 +143,6 @@ func (s *Store) Delete(table string, conds ...Cond) (int, error) {
 		return 0, err
 	}
 	return n, nil
-}
-
-// CountWhere is SelectWhere returning only the qualifying-tuple count.
-func (s *Store) CountWhere(table string, conds ...Cond) (int, error) {
-	res, err := s.SelectWhere(table, conds...)
-	if err != nil {
-		return 0, err
-	}
-	return res.Count(), nil
 }
 
 // OIDs returns the surrogate identifiers of the qualifying tuples.

@@ -1,6 +1,7 @@
 package crackdb
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 )
@@ -148,5 +149,76 @@ func TestSelectWhereCracksOnlyDrivingColumn(t *testing.T) {
 	}
 	if st.Cracks != 0 {
 		t.Fatalf("planner cracked the unselective column: %+v", st)
+	}
+}
+
+// TestConjunctionAllocs pins the executor's allocation profile. A
+// single-range CountWhere on a converged column is answered from the
+// crack window, so its allocations are a small constant, the same at
+// width 10 as at width 50k. Rows gathers each projected column into one
+// flat backing array, so reconstructing 50k rows allocates a constant
+// handful, not one slice per row.
+func TestConjunctionAllocs(t *testing.T) {
+	const n = 100_000
+	s := New()
+	if err := s.CreateTable("t", "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]int64, n)
+	for i, k := range rand.New(rand.NewSource(3)).Perm(n) {
+		rows[i] = []int64{int64(k), int64(i)}
+	}
+	if err := s.InsertRows("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	rangeOf := func(lo, width int64) []Cond {
+		return []Cond{{Col: "k", Op: ">=", Val: lo}, {Col: "k", Op: "<", Val: lo + width}}
+	}
+	narrow, wide := rangeOf(20_000, 10), rangeOf(40_000, 50_000)
+	allocs := func(conds []Cond) float64 {
+		// The first call cracks; from the second on the column answers
+		// both bounds from its cut index.
+		for i := 0; i < 2; i++ {
+			if _, err := s.CountWhere("t", conds...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := s.CountWhere("t", conds...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a10, a50k := allocs(narrow), allocs(wide)
+	t.Logf("converged CountWhere allocations: %.1f at width 10, %.1f at width 50k", a10, a50k)
+	if a10 != a50k || a50k > 8 {
+		t.Fatalf("converged CountWhere allocates %.1f at width 10 and %.1f at width 50k, want equal and <= 8", a10, a50k)
+	}
+	if got, err := s.CountWhere("t", wide...); err != nil || got != 50_000 {
+		t.Fatalf("CountWhere = %d, %v; want 50000", got, err)
+	}
+
+	res, err := s.SelectWhere("t", wide...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		if _, err := res.Rows("k", "v"); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 8 {
+		t.Fatalf("Rows(k, v) over %d rows allocates %.1f, want <= 8", res.Count(), a)
+	}
+	got, err := res.Rows("k", "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 50_000 {
+		t.Fatalf("Rows returned %d rows, want 50000", len(got))
+	}
+	for _, r := range got {
+		if k := r[0]; k < 40_000 || k >= 90_000 || rows[r[1]][0] != k {
+			t.Fatalf("row %v is not a qualifying base tuple", r)
+		}
 	}
 }
