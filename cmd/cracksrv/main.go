@@ -22,17 +22,21 @@
 //	crackbench -addr 127.0.0.1:7744 -clients 4 -queries 2000 -check
 //
 // With -data the server is durable: every mutation is appended to
-// <dir>/wal.log — fsynced, group-committed — before it is acked, /save
-// checkpoints a warm crack-state snapshot into <dir>/store/ and rotates
-// the log, and boot recovers snapshot + WAL suffix, so even a SIGKILL
-// loses nothing that was acked. When a snapshot exists its recorded
-// sharding configuration wins over the command-line flags. With
-// -ckptdelta a bare /save appends a differential chain element
+// <dir>/wal.log — fsynced, group-committed — before it is acked, and
+// /save checkpoints and rotates the log. Every checkpoint is one element
+// of a chain in one format: /save full writes element 0 — tables plus
+// warm crack state for every shard — into <dir>/store/, and with
+// -ckptdelta a bare /save appends a differential element
 // (<dir>/delta-NNNNNN/) carrying only the shards that changed since the
-// last checkpoint; /save full forces a fresh full image, and the chain
-// auto-compacts when it grows long or heavy. -walretain bounds how many
-// rotated WAL segments each checkpoint keeps for replication catch-up;
-// segments a connected follower still needs are never pruned.
+// last checkpoint; the chain auto-compacts into a new element 0 when it
+// grows long or heavy. Boot applies the chain to an empty store and
+// replays the WAL suffix, so even a SIGKILL loses nothing that was
+// acked. When a chain exists its recorded sharding configuration wins
+// over the command-line flags. Data dirs written by older releases
+// (store/shard.json) still boot; older releases cannot read this one.
+// -walretain bounds how many rotated WAL segments each checkpoint keeps
+// for replication catch-up; segments a connected follower still needs
+// are never pruned.
 //
 // With -follow the server is a read replica: it bootstraps from the
 // primary's checkpoint image plus WAL suffix, then pulls and applies

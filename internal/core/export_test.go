@@ -120,8 +120,11 @@ func TestColumnFromStateRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestRestoreColumnGuards: RestoreColumn must refuse misaligned or
-// duplicate restores — OID alignment is what makes fetches correct.
+// TestRestoreColumnGuards: ReplaceColumn, the one column install of the
+// restore path, must refuse misaligned columns and unknown attributes —
+// OID alignment is what makes fetches correct — and a later install
+// supersedes the live column. (Two records for one column inside one
+// chain element are refused by the element apply, not here.)
 func TestRestoreColumnGuards(t *testing.T) {
 	base := relation.New("t", "k", "v")
 	for i := 0; i < 10; i++ {
@@ -136,17 +139,21 @@ func TestRestoreColumnGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ct.RestoreColumn("k", short); err == nil {
+	if err := ct.ReplaceColumn("k", short); err == nil {
 		t.Fatal("accepted a column shorter than the base")
 	}
-	if err := ct.RestoreColumn("nope", short); err == nil {
+	if err := ct.ReplaceColumn("nope", short); err == nil {
 		t.Fatal("accepted an unknown attribute")
 	}
 	full := NewColumn("t.k", base.MustColumn("k").Ints())
-	if err := ct.RestoreColumn("k", full); err != nil {
+	if err := ct.ReplaceColumn("k", full); err != nil {
 		t.Fatal(err)
 	}
-	if err := ct.RestoreColumn("k", full); err == nil {
-		t.Fatal("accepted a second restore over a live column")
+	again := NewColumn("t.k", base.MustColumn("k").Ints())
+	if err := ct.ReplaceColumn("k", again); err != nil {
+		t.Fatal(err)
+	}
+	if c, _ := ct.Column("k"); c != again {
+		t.Fatal("a later install did not supersede the live column")
 	}
 }

@@ -118,39 +118,13 @@ func (ct *CrackedTable) Options() []Option {
 	return append([]Option(nil), ct.opts...)
 }
 
-// RestoreColumn installs a reconstructed cracker column (ColumnFromState)
-// for attr. The attribute must exist in the base relation, must not have
-// a live cracker column yet, and the restored column's tuple count must
-// match the base cardinality — OID alignment is what makes fetches
+// ReplaceColumn installs a reconstructed cracker column (ColumnFromState)
+// for attr, displacing any live one — the chain-apply path, where each
+// element's column state supersedes what earlier elements installed.
+// The attribute must exist in the base relation, and the column's live
+// tuple count must match the base cardinality net of tombstones (restore
+// those first, RestoreTombstones) — OID alignment is what makes fetches
 // through the surrogate key correct.
-func (ct *CrackedTable) RestoreColumn(attr string, c *Column) error {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	if _, exists := ct.cols[attr]; exists {
-		return fmt.Errorf("core: column %q already cracked, refusing restore", attr)
-	}
-	ct.baseMu.RLock()
-	hasCol := ct.base.HasColumn(attr)
-	liveLen := ct.base.Len() - len(ct.tomb)
-	ct.baseMu.RUnlock()
-	if !hasCol {
-		return fmt.Errorf("core: table %q has no column %q to restore", ct.base.Name, attr)
-	}
-	// Column.Len counts live tuples (deletes excluded), so the alignment
-	// check is against the base cardinality net of tombstones. Restore
-	// tombstones (RestoreTombstones) before restoring columns.
-	if got := c.Len(); got != liveLen {
-		return fmt.Errorf("core: restored column %q has %d live tuples, base has %d", attr, got, liveLen)
-	}
-	ct.cols[attr] = c
-	return nil
-}
-
-// ReplaceColumn swaps in a reconstructed cracker column for attr,
-// displacing any live column. Same validation as RestoreColumn minus the
-// already-cracked refusal — this is the differential-checkpoint apply
-// path, where a delta element supersedes the column state restored from
-// the chain's base image.
 func (ct *CrackedTable) ReplaceColumn(attr string, c *Column) error {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()

@@ -12,32 +12,34 @@ import (
 	"crackdb/internal/sideways"
 )
 
-// Differential crack-state snapshots: a CRKD file carries only what
-// changed since a named base image, chained to that base by checksum.
-// The paper argues reorganization cost should track what queries touch;
-// a full checkpoint is the opposite — it rewrites every column's state
-// whether or not a single query or insert reached it since the last
-// save. The crack-state format already serializes per-column sections,
-// so the natural delta unit is the column: a delta carries the complete
-// state of each column whose fingerprint moved since the base, and
-// nothing for the (typically vast) remainder.
+// Chain elements (CRKD): the one on-disk image format. A store image is
+// a chain of elements applied in order to an empty store. Element 0 has
+// no predecessor (PrevSum 0): every table is DataDirty and every cracked
+// column, sideways map and tuner record rides in it — a full image. Each
+// later element carries only what changed since its predecessor and is
+// chained to it by checksum. The paper argues reorganization cost
+// should track what queries touch; a full image rewrites every column's
+// state whether or not a single query or insert reached it since the
+// last save. The natural delta unit is the column: an element carries
+// the complete state of each column whose fingerprint moved since its
+// predecessor, and nothing for the (typically vast) remainder.
 //
 // File layout:
 //
 //	magic      [4]byte  "CRKD"
 //	version    uint8    1
 //	appliedSeq uint64   WAL seq the chain covers through this element
-//	prevSum    uint32   the predecessor's CRC-32 trailer value:
-//	                    the base's crack-state file for the first delta,
-//	                    the previous delta file otherwise — opening a
-//	                    chain verifies every link before applying any
+//	prevSum    uint32   the predecessor's CRC-32 trailer value, 0 for
+//	                    element 0 (a legacy CRKS base is named by its
+//	                    own trailer) — opening a chain verifies each
+//	                    link before applying the element
 //	ntables    uint32   authoritative table manifest (see DeltaTable)
 //	tables     ntables × (name, cols, rows, tombstones, dataDirty)
 //	config     store-wide crack configuration at save time (full copy;
 //	           the final chain element's config wins)
 //	ncols      uint32
-//	columns    ncols × column records — changed columns only, encoded
-//	           exactly as in the full CRKS format
+//	columns    ncols × column records — changed columns only (all of
+//	           them in element 0), encoded as in the legacy CRKS format
 //	ntouch     uint32   tables whose sideways maps this element carries
 //	touched    ntouch × string
 //	nsets      uint32   sideways map spines for touched tables (complete
@@ -49,15 +51,15 @@ import (
 //
 // The table manifest is complete, not differential: a table absent from
 // it was dropped, a table with DataDirty carries rewritten BAT images
-// alongside the delta file, and a clean table must already exist (from
-// the base or an earlier element) with matching shape — a mismatch
-// refuses the whole chain rather than silently reopening cold.
+// alongside the element file, and a clean table must already exist
+// (from an earlier element) with matching shape — a mismatch refuses
+// the whole chain rather than silently reopening cold.
 
 var deltaMagic = [4]byte{'C', 'R', 'K', 'D'}
 
 const deltaVersion = 1
 
-// DeltaTable is one entry of a delta's authoritative table manifest.
+// DeltaTable is one entry of an element's authoritative table manifest.
 type DeltaTable struct {
 	Name string
 	Cols []string
@@ -73,7 +75,7 @@ type DeltaTable struct {
 	DataDirty bool
 }
 
-// DeltaSnapshot is one element of a differential checkpoint chain.
+// DeltaSnapshot is one element of a checkpoint chain.
 type DeltaSnapshot struct {
 	AppliedSeq uint64
 	PrevSum    uint32
@@ -85,7 +87,7 @@ type DeltaSnapshot struct {
 	Tuner      []TunerState
 }
 
-// WriteDelta serializes the delta to path atomically (temp file + rename,
+// WriteDelta serializes the element to path atomically (temp file + rename,
 // fsync before the rename) and returns the element's checksum (its
 // CRC-32 trailer value) — what the next chain element records as its
 // PrevSum.
@@ -191,7 +193,7 @@ func encodeDelta(w io.Writer, d *DeltaSnapshot) error {
 	return err
 }
 
-// ReadDelta loads and validates a delta written by WriteDelta, returning
+// ReadDelta loads and validates an element written by WriteDelta, returning
 // the decoded element and its verified checksum (the CRC-32 trailer
 // value the next chain element must carry as PrevSum).
 func ReadDelta(path string) (*DeltaSnapshot, uint32, error) {

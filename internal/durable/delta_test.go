@@ -98,15 +98,10 @@ func TestDeltaSumIdentifiesContent(t *testing.T) {
 	if s1 == s2 {
 		t.Fatalf("different content, same checksum %08x", s1)
 	}
-	// Same for snapshot images (the chain base).
-	b1, err := WriteSnapshotSum(filepath.Join(dir, "s1.crk"), &StoreSnapshot{AppliedSeq: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := WriteSnapshotSum(filepath.Join(dir, "s2.crk"), &StoreSnapshot{AppliedSeq: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Same for legacy CRKS images, which still anchor the chains written
+	// over them.
+	b1 := writeLegacySnapshot(t, filepath.Join(dir, "s1.crk"), snapVersion, &StoreSnapshot{AppliedSeq: 1})
+	b2 := writeLegacySnapshot(t, filepath.Join(dir, "s2.crk"), snapVersion, &StoreSnapshot{AppliedSeq: 2})
 	if b1 == b2 {
 		t.Fatalf("different snapshots, same checksum %08x", b1)
 	}
@@ -142,10 +137,11 @@ func TestDeltaCorruptionRefused(t *testing.T) {
 	}
 }
 
-// writeLegacySnapshot encodes a snapshot in an old on-disk version —
-// v1 (no budget field, no sideways or tuner sections) or v2 (budget and
-// sideways, no tuner) — byte-compatible with what those releases wrote.
-func writeLegacySnapshot(t *testing.T, path string, version uint8, s *StoreSnapshot) uint32 {
+// writeLegacySnapshot encodes a snapshot in a legacy CRKS version — v1
+// (no budget field, no sideways or tuner sections), v2 (budget and
+// sideways, no tuner) or v3 (all three) — byte-compatible with what
+// those releases wrote. Nothing in the program writes CRKS any more.
+func writeLegacySnapshot(t testing.TB, path string, version uint8, s *StoreSnapshot) uint32 {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
@@ -184,6 +180,20 @@ func writeLegacySnapshot(t *testing.T, path string, version uint8, s *StoreSnaps
 			}
 		}
 	}
+	if version >= 3 {
+		tbuf := binary.LittleEndian.AppendUint32(nil, uint32(len(s.Tuner)))
+		for _, ts := range s.Tuner {
+			tbuf = appendString(tbuf, ts.Table)
+			tbuf = appendString(tbuf, ts.Column)
+			tbuf = appendString(tbuf, ts.Strategy)
+			tbuf = appendString(tbuf, ts.Class)
+			tbuf = binary.LittleEndian.AppendUint64(tbuf, ts.Flips)
+			tbuf = appendBool(tbuf, ts.Forced)
+		}
+		if _, err := w.Write(tbuf); err != nil {
+			t.Fatal(err)
+		}
+	}
 	body := crc.Sum32()
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], body)
@@ -211,16 +221,7 @@ func TestSnapshotVersionMatrix(t *testing.T) {
 		t.Run(map[uint8]string{1: "v1", 2: "v2", 3: "v3"}[tc.version], func(t *testing.T) {
 			dir := t.TempDir()
 			img := filepath.Join(dir, "crackstate.crk")
-			var sum uint32
-			if tc.version == 3 {
-				var err error
-				sum, err = WriteSnapshotSum(img, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				sum = writeLegacySnapshot(t, img, tc.version, base)
-			}
+			sum := writeLegacySnapshot(t, img, tc.version, base)
 			got, rsum, err := ReadSnapshotSum(img)
 			if err != nil {
 				t.Fatalf("v%d image refused: %v", tc.version, err)

@@ -108,16 +108,23 @@ func syncDir(path string) error {
 }
 
 // RecoverDirSwap finishes an atomic swap a crash interrupted: if dir
-// lacks the marker file but dir.old holds it, the old image is moved
-// back into place. Call before opening an image directory.
-func RecoverDirSwap(dir, marker string) {
-	if _, err := os.Stat(filepath.Join(dir, marker)); err == nil {
-		return
-	}
-	old := dir + oldDirSuffix
-	if _, err := os.Stat(filepath.Join(old, marker)); err != nil {
+// holds none of the marker files but dir.old holds one, the old image is
+// moved back into place. Call before opening an image directory; pass
+// every marker an image of that kind may carry (the current one and any
+// a legacy format used).
+func RecoverDirSwap(dir string, markers ...string) {
+	if hasAny(dir, markers) || !hasAny(dir+oldDirSuffix, markers) {
 		return
 	}
 	os.RemoveAll(dir)
-	os.Rename(old, dir)
+	os.Rename(dir+oldDirSuffix, dir)
+}
+
+func hasAny(dir string, markers []string) bool {
+	for _, m := range markers {
+		if _, err := os.Stat(filepath.Join(dir, m)); err == nil {
+			return true
+		}
+	}
+	return false
 }

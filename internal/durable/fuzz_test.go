@@ -11,8 +11,8 @@ import (
 	"crackdb/internal/sideways"
 )
 
-// Native fuzz targets for the durability decode paths (ISSUE 5
-// satellite): any mutated WAL or snapshot image must fail cleanly — an
+// Native fuzz targets for the durability decode paths: any mutated WAL,
+// chain element or legacy snapshot image must fail cleanly — an
 // error (or a silently truncated replay prefix for WAL tails, which is
 // the designed crash semantics), never a panic and never an allocation
 // driven by a corrupt length field instead of by the actual file size.
@@ -47,8 +47,8 @@ func fuzzWALBytes(tb testing.TB) []byte {
 	return b
 }
 
-// fuzzSnapshotBytes builds a valid version-2 snapshot image with column
-// and sideways sections.
+// fuzzSnapshotBytes builds a valid legacy CRKS image (version 3) with
+// column, sideways and tuner sections.
 func fuzzSnapshotBytes(tb testing.TB) []byte {
 	tb.Helper()
 	dir, err := os.MkdirTemp("", "crackdb-fuzzseed-*")
@@ -82,8 +82,26 @@ func fuzzSnapshotBytes(tb testing.TB) []byte {
 			Strategy: &core.StrategyState{Name: "mdd1r", MinPiece: 2048, RNG: 13},
 			Pays:     []sideways.PayState{{Attr: "v", Vals: []int64{10, 20, 30, 40}}},
 		}},
+		Tuner: []TunerState{{Table: "t", Column: "k", Strategy: "mdd1r", Class: "sequential", Flips: 2}},
 	}
-	if err := WriteSnapshot(path, snap); err != nil {
+	writeLegacySnapshot(tb, path, snapVersion, snap)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// fuzzDeltaBytes builds a valid chain element from sampleDelta.
+func fuzzDeltaBytes(tb testing.TB) []byte {
+	tb.Helper()
+	dir, err := os.MkdirTemp("", "crackdb-fuzzseed-*")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "crackdelta.crk")
+	if _, err := WriteDelta(path, sampleDelta()); err != nil {
 		tb.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -175,9 +193,10 @@ func FuzzRecordDecode(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotDecode feeds arbitrary bytes to the snapshot reader: no
-// panic, no corrupt-length-driven allocation, and a successful read
-// must survive a write/read round trip.
+// FuzzSnapshotDecode feeds arbitrary bytes to the legacy CRKS reader: no
+// panic, no corrupt-length-driven allocation, and a successful read must
+// survive the path a legacy image takes now — adapted into element 0,
+// written as a chain element, and read back with a stable encoding.
 func FuzzSnapshotDecode(f *testing.F) {
 	addMutations(f, fuzzSnapshotBytes(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -186,17 +205,51 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		snap, err := ReadSnapshot(path)
+		snap, _, err := ReadSnapshotSum(path)
 		if err != nil {
 			return // clean refusal
 		}
-		// Round trip: what decoded must re-encode and decode identically.
-		path2 := filepath.Join(dir, "snap2.crk")
-		if err := WriteSnapshot(path2, snap); err != nil {
-			t.Fatalf("re-write of decoded snapshot failed: %v", err)
-		}
-		if _, err := ReadSnapshot(path2); err != nil {
-			t.Fatalf("re-read of re-written snapshot failed: %v", err)
-		}
+		tables := []DeltaTable{{Name: "t", Cols: []string{"k", "v"}, Rows: 4, DataDirty: true}}
+		elementRoundTrip(t, dir, snap.Element(tables))
 	})
+}
+
+// FuzzDeltaDecode feeds arbitrary bytes to the chain element reader —
+// the one format the program writes — under the same contract.
+func FuzzDeltaDecode(f *testing.F) {
+	addMutations(f, fuzzDeltaBytes(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "crackdelta.crk")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Skip()
+		}
+		d, _, err := ReadDelta(path)
+		if err != nil {
+			return // clean refusal
+		}
+		elementRoundTrip(t, dir, d)
+	})
+}
+
+// elementRoundTrip writes d, reads it back, and writes it again: the
+// re-read must succeed and both encodings must be byte-identical.
+func elementRoundTrip(t *testing.T, dir string, d *DeltaSnapshot) {
+	t.Helper()
+	p1, p2 := filepath.Join(dir, "e1.crk"), filepath.Join(dir, "e2.crk")
+	if _, err := WriteDelta(p1, d); err != nil {
+		t.Fatalf("write of decoded element failed: %v", err)
+	}
+	again, _, err := ReadDelta(p1)
+	if err != nil {
+		t.Fatalf("re-read of re-written element failed: %v", err)
+	}
+	if _, err := WriteDelta(p2, again); err != nil {
+		t.Fatal(err)
+	}
+	b1, err1 := os.ReadFile(p1)
+	b2, err2 := os.ReadFile(p2)
+	if err1 != nil || err2 != nil || !bytes.Equal(b1, b2) {
+		t.Fatalf("element not stable under write/read (%v, %v)", err1, err2)
+	}
 }

@@ -13,9 +13,13 @@ import (
 	"crackdb/internal/sideways"
 )
 
-// Crack-state snapshots: the serialized form of every cracker column's
-// auxiliary state (core.ColumnState), versioned alongside the BAT
-// manifest it accompanies. The file layout is:
+// Legacy crack-state snapshots (CRKS). Full images were once a BAT
+// manifest plus this file; every image is now a chain element (CRKD,
+// delta.go) and nothing writes CRKS any more. ReadSnapshotSum still
+// decodes versions 1–3 so stores saved by older releases open, and
+// Element adapts a decoded image into chain element 0. The column and
+// sideways record codecs below are shared with the element format. The
+// file layout is:
 //
 //	magic      [4]byte  "CRKS"
 //	version    uint8    3
@@ -31,20 +35,16 @@ import (
 //	           forced) — the auto-tuner's learned per-column posture
 //	crc        uint32   CRC-32 (IEEE) of everything above
 //
-// Older images still open: version 1 (no sideways section, no budget
-// field) starts the maps cold with the default budget, and version 2
-// (no tuner section) reopens with no learned posture — the tuner
-// re-learns from live traffic within one window.
-//
-// The trailing checksum mirrors the BAT image format: a torn snapshot is
-// detected and rejected as a whole — recovery then falls back to the
-// cold image plus full WAL replay rather than trusting half a cut set.
+// Version 1 (no sideways section, no budget field) starts the maps cold
+// with the default budget, and version 2 (no tuner section) reopens
+// with no learned posture — the tuner re-learns from live traffic
+// within one window.
 
 var snapMagic = [4]byte{'C', 'R', 'K', 'S'}
 
 const snapVersion = 3
 
-// StoreConfig is the store-wide crack configuration a snapshot carries,
+// StoreConfig is the store-wide crack configuration an image carries,
 // so columns created after a warm reopen behave like columns created
 // before the shutdown.
 type StoreConfig struct {
@@ -75,7 +75,8 @@ type TunerState struct {
 	Forced        bool
 }
 
-// StoreSnapshot is the full crack-state image of one store.
+// StoreSnapshot is a decoded legacy CRKS image: the full crack state of
+// one store.
 type StoreSnapshot struct {
 	AppliedSeq uint64
 	Config     StoreConfig
@@ -93,102 +94,24 @@ type StoreSnapshot struct {
 	Tuner []TunerState
 }
 
-// WriteSnapshot serializes the snapshot to path atomically (temp file +
-// rename), fsyncing before the rename so a crash leaves either the old
-// image or the complete new one.
-func WriteSnapshot(path string, s *StoreSnapshot) error {
-	_, err := WriteSnapshotSum(path, s)
-	return err
-}
-
-// WriteSnapshotSum is WriteSnapshot returning the image's checksum (the
-// CRC-32 trailer value) — the chain link a differential checkpoint
-// records as its PrevSum to name this image as its base. The trailer,
-// not a CRC of the whole file: a CRC over a message that ends in its
-// own CRC is the fixed CRC-32 residue, the same for every file.
-func WriteSnapshotSum(path string, s *StoreSnapshot) (uint32, error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, err
+// Element adapts a legacy image into chain element 0: tables is the
+// table manifest that accompanied it (every entry DataDirty, its BAT
+// images beside the snapshot), and every table is touched, so the
+// element carries the table's complete sideways map set. PrevSum is 0 —
+// element 0 has no predecessor.
+func (s *StoreSnapshot) Element(tables []DeltaTable) *DeltaSnapshot {
+	d := &DeltaSnapshot{
+		AppliedSeq: s.AppliedSeq,
+		Config:     s.Config,
+		Tables:     tables,
+		Columns:    s.Columns,
+		Sideways:   s.Sideways,
+		Tuner:      s.Tuner,
 	}
-	fail := func(err error) (uint32, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
+	for _, t := range tables {
+		d.Touched = append(d.Touched, t.Name)
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	crc := crc32.NewIEEE()
-	w := io.MultiWriter(bw, crc)
-
-	if err := encodeSnapshot(w, s); err != nil {
-		return fail(err)
-	}
-	body := crc.Sum32()
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], body)
-	if _, err := bw.Write(sum[:]); err != nil {
-		return fail(err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return 0, err
-	}
-	return body, nil
-}
-
-func encodeSnapshot(w io.Writer, s *StoreSnapshot) error {
-	buf := make([]byte, 0, 1<<16)
-	buf = append(buf, snapMagic[:]...)
-	buf = append(buf, snapVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, s.AppliedSeq)
-	buf = appendString(buf, s.Config.StrategyName)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Config.StrategySeed))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Config.MaxPieces))
-	buf = appendBool(buf, s.Config.Ripple)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Config.SidewaysBudget))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Columns)))
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	for i := range s.Columns {
-		if err := encodeColumn(w, &s.Columns[i]); err != nil {
-			return err
-		}
-	}
-	var nsets [4]byte
-	binary.LittleEndian.PutUint32(nsets[:], uint32(len(s.Sideways)))
-	if _, err := w.Write(nsets[:]); err != nil {
-		return err
-	}
-	for i := range s.Sideways {
-		if err := encodeSidewaysSet(w, &s.Sideways[i]); err != nil {
-			return err
-		}
-	}
-	tbuf := make([]byte, 0, 1<<10)
-	tbuf = binary.LittleEndian.AppendUint32(tbuf, uint32(len(s.Tuner)))
-	for _, t := range s.Tuner {
-		tbuf = appendString(tbuf, t.Table)
-		tbuf = appendString(tbuf, t.Column)
-		tbuf = appendString(tbuf, t.Strategy)
-		tbuf = appendString(tbuf, t.Class)
-		tbuf = binary.LittleEndian.AppendUint64(tbuf, t.Flips)
-		tbuf = appendBool(tbuf, t.Forced)
-	}
-	if _, err := w.Write(tbuf); err != nil {
-		return err
-	}
-	return nil
+	return d
 }
 
 func encodeSidewaysSet(w io.Writer, ms *sideways.MapState) error {
@@ -326,15 +249,9 @@ func encodeColumn(w io.Writer, cs *ColumnSnapshot) error {
 	return err
 }
 
-// ReadSnapshot loads and validates a snapshot written by WriteSnapshot.
-func ReadSnapshot(path string) (*StoreSnapshot, error) {
-	s, _, err := ReadSnapshotSum(path)
-	return s, err
-}
-
-// ReadSnapshotSum is ReadSnapshot returning the image's verified
-// checksum (the CRC-32 trailer value), so a chain opener can check that
-// the first delta's PrevSum names exactly this base image.
+// ReadSnapshotSum loads and validates a legacy CRKS image, returning it
+// with its verified checksum (the CRC-32 trailer value) — the chain sum
+// that deltas written against the image carry as their PrevSum.
 func ReadSnapshotSum(path string) (*StoreSnapshot, uint32, error) {
 	f, err := os.Open(path)
 	if err != nil {

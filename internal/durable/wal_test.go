@@ -453,6 +453,8 @@ func TestWALRotate(t *testing.T) {
 	}
 }
 
+// TestSnapshotChecksum: a legacy CRKS image decodes to exactly what was
+// encoded, and any flipped byte or truncation is refused.
 func TestSnapshotChecksum(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.crk")
@@ -460,10 +462,8 @@ func TestSnapshotChecksum(t *testing.T) {
 		AppliedSeq: 42,
 		Config:     StoreConfig{StrategyName: "mdd1r", StrategySeed: 7, MaxPieces: 100, Ripple: true},
 	}
-	if err := WriteSnapshot(path, snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(path)
+	writeLegacySnapshot(t, path, snapVersion, snap)
+	got, _, err := ReadSnapshotSum(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,13 +476,13 @@ func TestSnapshotChecksum(t *testing.T) {
 		bad := bytes.Clone(data)
 		bad[off] ^= 0x40
 		os.WriteFile(path, bad, 0o644)
-		if _, err := ReadSnapshot(path); err == nil {
+		if _, _, err := ReadSnapshotSum(path); err == nil {
 			t.Fatalf("snapshot with byte %d flipped was accepted", off)
 		}
 	}
 	// A truncated snapshot must be detected too.
 	os.WriteFile(path, data[:len(data)-3], 0o644)
-	if _, err := ReadSnapshot(path); err == nil {
+	if _, _, err := ReadSnapshotSum(path); err == nil {
 		t.Fatal("truncated snapshot was accepted")
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -204,5 +205,49 @@ func TestBootstrapResumeAcrossCheckpoint(t *testing.T) {
 	}
 	if n != 3040 {
 		t.Fatalf("bootstrapped store has %d rows, want 3040", n)
+	}
+}
+
+// TestStagePrunesEmptiedDirs: files a newer manifest no longer lists are
+// pruned from staging together with the directories they leave empty.
+// Boot refuses an element dir holding a shard-K/ its manifest does not
+// list, so an emptied leftover (say, from an element number the primary
+// reused after compacting) must not survive into the install.
+func TestStagePrunesEmptiedDirs(t *testing.T) {
+	opts := shard.Options{Shards: 2, Kind: shard.Range, Domain: [2]int64{0, 2000}, StaticRangeBounds: true}
+	pAddr, _, pStop := startDurableServer(t, t.TempDir(), opts)
+	defer pStop()
+	pc, err := Dial(pAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	if resp, _ := pc.Do("CREATE TABLE t (k, v)"); resp.Err != "" {
+		t.Fatalf("create: %s", resp.Err)
+	}
+	insertRange(t, pc, "t", 0, 500, 2000)
+	save(t, pc, "")
+	m, err := fetchManifest(pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fDir := t.TempDir()
+	staging := filepath.Join(fDir, "store.repl")
+	stale := filepath.Join(staging, "delta-000001", "shard-1")
+	if err := os.MkdirAll(stale, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stale, "crackdelta.crk"), []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var st bootStats
+	if _, err := stageImage(pc, m, staging, fDir, &st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(staging, "delta-000001")); !os.IsNotExist(err) {
+		t.Fatalf("emptied stale element dir survived staging (err %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(staging, "store", "delta.json")); err != nil {
+		t.Fatalf("staging lost the manifest's files: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -425,7 +424,9 @@ func fileMatches(path string, sf shard.SnapshotFile) bool {
 	if err != nil {
 		return false
 	}
-	return crc32.ChecksumIEEE(data) == sf.Crc
+	sum := shard.NewSnapshotHash()
+	sum.Write(data)
+	return sum.Sum32() == sf.Crc
 }
 
 // bootstrapFromSnapshot replaces the follower's local state with the
@@ -549,9 +550,16 @@ func stageImage(c *Client, m shard.SnapshotManifest, staging, dataDir string, st
 		}
 	}
 	// Prune staged files the manifest no longer lists (renamed tables,
-	// compacted chain elements): install must produce the image exactly.
+	// compacted chain elements), then the directories that left empty —
+	// boot refuses an element dir holding a shard-K/ it does not list,
+	// so install must produce the image exactly.
+	var dirs []string
 	filepath.WalkDir(staging, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
+		if err != nil {
+			return nil
+		}
+		if d.IsDir() {
+			dirs = append(dirs, path)
 			return nil
 		}
 		rel, err := filepath.Rel(staging, path)
@@ -560,6 +568,9 @@ func stageImage(c *Client, m shard.SnapshotManifest, staging, dataDir string, st
 		}
 		return nil
 	})
+	for i := len(dirs) - 1; i > 0; i-- { // children first; keep staging itself
+		os.Remove(dirs[i]) // fails, harmlessly, on a directory still in use
+	}
 	return reused, nil
 }
 
@@ -604,7 +615,7 @@ func downloadFile(c *Client, seq uint64, sf shard.SnapshotFile, dst string, stat
 	if err != nil {
 		return err
 	}
-	sum := crc32.NewIEEE()
+	sum := shard.NewSnapshotHash()
 	var off int64
 	for off < sf.Size {
 		n := fetchChunk

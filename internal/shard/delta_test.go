@@ -372,3 +372,53 @@ func TestDeltaCheckpointNoop(t *testing.T) {
 		t.Fatalf("no-op delta checkpoint still wrote elements: %v", dds)
 	}
 }
+
+// TestElementShardListChecked: no successor vouches for the tip
+// element's delta.json checksum, so boot checks every element's shard
+// list against its directory. A list edited to drop a shard the element
+// carries once booted and silently lost that shard's acked rows; it and
+// every other malformed list must now refuse the boot.
+func TestElementShardListChecked(t *testing.T) {
+	for _, tc := range []struct {
+		name, elem string
+		dirty      []int
+	}{
+		{"drops a carried shard", "delta-000001", []int{1}},
+		{"repeated", "delta-000001", []int{0, 1, 1}},
+		{"unsorted", "delta-000001", []int{1, 0}},
+		{"out of range", "delta-000001", []int{0, 1, 8}},
+		{"names a missing shard dir", "delta-000001", []int{0, 1, 2}},
+		{"element 0 short of a shard", "store", []int{0, 1, 2, 3, 4, 5, 6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := seedDurable(t, dir)
+			// Keys 10 and 11 route to shard 0, 1010 to shard 1.
+			mustExec(t, s.InsertRows("t", [][]int64{{10, 1}, {11, 2}, {1010, 3}}))
+			if mode, err := s.CheckpointMode("delta"); err != nil || mode != "delta" {
+				t.Fatalf("delta: mode %q err %v", mode, err)
+			}
+			mustExec(t, s.CloseWAL())
+
+			manifest := filepath.Join(dir, tc.elem, "delta.json")
+			data, err := os.ReadFile(manifest)
+			mustExec(t, err)
+			var m map[string]any
+			mustExec(t, json.Unmarshal(data, &m))
+			m["dirty"] = tc.dirty
+			data, err = json.Marshal(m)
+			mustExec(t, err)
+			mustExec(t, os.WriteFile(manifest, data, 0o644))
+
+			re, info, err := shard.OpenDurable(dir, rangeOpts())
+			if err == nil {
+				n, _ := re.NumRows("t")
+				re.CloseWAL()
+				t.Fatalf("boot accepted dirty %v in %s: %+v, %d rows (8003 acked)", tc.dirty, tc.elem, info, n)
+			}
+			if !strings.Contains(err.Error(), tc.elem) {
+				t.Fatalf("refusal does not name the element %s: %v", tc.elem, err)
+			}
+		})
+	}
+}

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,22 +11,25 @@ import (
 	"crackdb/internal/durable"
 )
 
-// Sharded persistence: the router is saved as a JSON manifest
-// (shard.json — partition kind, per-table routing specs, shard count)
-// next to one complete crackdb store image per shard, and reopens
-// byte-identical: every key routes to the same shard, every shard holds
-// the same rows, and — warm — every cracker column resumes with the same
-// cut set and strategy RNG position. OpenDurable adds the WAL on top:
-// boot = newest snapshot + replay of the log suffix, and Checkpoint
-// (the server's /save) atomically writes a new snapshot and rotates the
-// log under full mutation exclusion.
+// Sharded persistence. An image is a chain of elements (delta.go), each
+// a directory holding delta.json — the router manifest (partition
+// kind, per-table routing specs, shard count), the WAL stamp and the
+// element's shard list — next to one crackdb chain element per listed
+// shard. Element 0 lists every shard and reopens byte-identical: every
+// key routes to the same shard, every shard holds the same rows, and
+// every cracker column resumes with the same cut set and strategy RNG
+// position. OpenDurable adds the WAL on top: boot = the chain in the
+// data dir + replay of the log suffix, and Checkpoint (the server's
+// /save) atomically writes a new element and rotates the log under full
+// mutation exclusion.
 
-// routerManifestName is the router image marker inside a saved dir.
-const routerManifestName = "shard.json"
+// legacyRouterName is the router manifest of an image written before
+// the element format; a data dir's store/ may still hold one.
+const legacyRouterName = "shard.json"
 
 // Inside a durable data dir:
 const (
-	dataStoreDir  = "store"   // current snapshot (a Save/SaveWarm image)
+	dataStoreDir  = "store"   // chain element 0 (a full checkpoint)
 	dataWALName   = "wal.log" // the mutation log
 	dataBootsName = "boots"   // boot counter (restarts_total = boots-1)
 )
@@ -65,21 +66,19 @@ func (s *Store) logRecord(rec durable.Record) error {
 	return nil
 }
 
-// Save writes the sharded store's cold image (router + per-shard tables,
-// no cracker state) to a directory, atomically replacing any previous
-// image.
-func (s *Store) Save(dir string) error { return s.save(dir, false) }
-
-// SaveWarm writes the warm image: the router plus each shard's warm
-// store image, so OpenWarm resumes every shard's cracker state.
-func (s *Store) SaveWarm(dir string) error { return s.save(dir, true) }
-
-func (s *Store) save(dir string, warm bool) error {
-	// Exclude mutations for the whole image: the router manifest, the
-	// per-shard images and the WAL stamp must describe one instant.
+// SaveWarm writes the store's image — chain element 0: the router plus
+// every shard's warm image — into dir, atomically replacing any previous
+// image there. Differential checkpoints chain only to the data dir's
+// images, so the per-shard save marks are dropped: the next delta
+// checkpoint escalates to a full one.
+func (s *Store) SaveWarm(dir string) error {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
-	return s.saveLocked(dir, warm)
+	_, err := s.writeElementLocked(dir, 0, s.allShards())
+	for _, st := range s.shards {
+		st.InvalidateSaveMark()
+	}
+	return err
 }
 
 // routerManifestLocked builds the manifest describing the router as it
@@ -109,95 +108,18 @@ func (s *Store) routerManifestLocked(seq uint64) routerManifest {
 	return m
 }
 
-// saveLocked writes the image. The caller holds walMu exclusively.
-func (s *Store) saveLocked(dir string, warm bool) error {
-	err := durable.AtomicReplaceDir(dir, func(tmp string) error {
-		var seq uint64
-		if s.wal != nil {
-			seq = s.wal.Seq()
-		}
-		m := s.routerManifestLocked(seq)
-		data, err := json.MarshalIndent(m, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(tmp, routerManifestName), data, 0o644); err != nil {
-			return err
-		}
-		for i, st := range s.shards {
-			sub := filepath.Join(tmp, fmt.Sprintf("shard-%d", i))
-			var err error
-			if warm {
-				err = st.SaveWarm(sub)
-			} else {
-				err = st.Save(sub)
-			}
-			if err != nil {
-				return fmt.Errorf("shard %d: %w", i, err)
-			}
-		}
-		return nil
-	})
-	// Differential checkpoints anchor to the image in the data dir. A
-	// warm save that failed, or that landed anywhere else, leaves the
-	// per-shard save marks pointing at state the chain cannot link to —
-	// drop them so the next delta attempt escalates to a full image
-	// instead of writing an unresolvable chain element.
-	if warm && (err != nil || s.dataDir == "" || dir != filepath.Join(s.dataDir, dataStoreDir)) {
-		for _, st := range s.shards {
-			st.InvalidateSaveMark()
-		}
-	}
-	return err
-}
-
-// Open loads a sharded store's cold image previously written by Save.
-func Open(dir string) (*Store, error) {
-	s, _, err := open(dir, false)
-	return s, err
-}
-
-// OpenWarm loads a warm image, resuming every shard's cracker state, and
-// returns the WAL sequence the image covers.
+// OpenWarm loads an image written by SaveWarm, resuming every shard's
+// cracker state, and returns the WAL sequence the image covers.
 func OpenWarm(dir string) (*Store, uint64, error) {
-	return open(dir, true)
-}
-
-func open(dir string, warm bool) (*Store, uint64, error) {
-	durable.RecoverDirSwap(dir, routerManifestName)
-	m, err := readRouterManifest(dir)
+	dir = filepath.Clean(dir)
+	e, ok, err := readElem(filepath.Dir(dir), filepath.Base(dir), 0)
 	if err != nil {
 		return nil, 0, err
 	}
-	s, err := storeFromRouterManifest(*m)
-	if err != nil {
-		return nil, 0, err
+	if !ok {
+		return nil, 0, fmt.Errorf("shard: open store: no image in %s", dir)
 	}
-	for i := range s.shards {
-		sub := filepath.Join(dir, fmt.Sprintf("shard-%d", i))
-		if warm {
-			s.shards[i], _, err = crackdb.OpenWarm(sub)
-		} else {
-			s.shards[i], err = crackdb.Open(sub)
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return s, m.AppliedSeq, nil
-}
-
-// readRouterManifest loads and decodes dir/shard.json.
-func readRouterManifest(dir string) (*routerManifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, routerManifestName))
-	if err != nil {
-		return nil, fmt.Errorf("shard: open store: %w", err)
-	}
-	var m routerManifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("shard: corrupt router manifest: %w", err)
-	}
-	return &m, nil
+	return openChain(filepath.Dir(dir), []chainElem{e})
 }
 
 // storeFromRouterManifest validates a manifest and builds the store
@@ -246,71 +168,46 @@ func storeFromRouterManifest(m routerManifest) (*Store, error) {
 
 // BootInfo describes what OpenDurable recovered.
 type BootInfo struct {
-	Recovered   bool   // a snapshot was found and loaded
-	AppliedSeq  uint64 // WAL seq the snapshot (or chain tip) covered
+	Recovered   bool   // a chain was found and loaded
+	AppliedSeq  uint64 // WAL seq the chain tip covered
 	Replayed    int    // WAL records replayed on top of it
-	ChainDeltas int    // differential elements applied over the base image
+	ChainDeltas int    // differential elements applied over element 0
 }
 
 // OpenDurable boots a sharded store from a data directory:
 //
-//	dir/store/       newest full snapshot (written by Checkpoint), if any
+//	dir/store/        chain element 0 (the newest full checkpoint), if any
 //	dir/delta-NNNNNN/ differential elements on top of it (delta mode)
-//	dir/wal.log      the mutation log
+//	dir/wal.log       the mutation log
 //
-// The snapshot (when present) is opened warm — plus the verified delta
-// chain, when differential checkpoints left one — the WAL's uncovered
-// suffix is replayed, and the log is attached so every further mutation
-// is WAL-first. A missing directory is a cold boot: a fresh store under
-// opts with an empty log. Either way the returned store is ready to
-// serve and Checkpoint-able. A delta chain that fails verification
-// (broken link, corrupt manifest) refuses the boot rather than serving
-// a partial image.
+// The chain is resolved and verified and every element applied in
+// order, the WAL's uncovered suffix is replayed, and the log is attached
+// so every further mutation is WAL-first. A directory with no chain is
+// a cold boot: a fresh store under opts with an empty log. Either way
+// the returned store is ready to serve and Checkpoint-able. A chain that
+// fails verification (broken link, corrupt manifest, a shard list that
+// disagrees with the element directory) refuses the boot rather than
+// serving a partial image.
 func OpenDurable(dir string, opts Options) (*Store, BootInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, BootInfo{}, err
 	}
-	storeDir := filepath.Join(dir, dataStoreDir)
-	durable.RecoverDirSwap(storeDir, routerManifestName)
-
-	var baseExists bool
-	var baseApplied uint64
-	var baseSum uint32
-	if data, err := os.ReadFile(filepath.Join(storeDir, routerManifestName)); err == nil {
-		var m routerManifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, BootInfo{}, fmt.Errorf("shard: corrupt router manifest: %w", err)
-		}
-		baseExists, baseApplied, baseSum = true, m.AppliedSeq, crc32.ChecksumIEEE(data)
-	}
-	elems, err := resolveChain(dir, baseExists, baseApplied, baseSum)
+	elems, err := resolveChain(dir)
 	if err != nil {
 		return nil, BootInfo{}, err
 	}
-
 	var s *Store
 	var info BootInfo
-	switch {
-	case len(elems) > 0:
-		st, applied, err := openChain(dir, elems)
-		if err != nil {
-			return nil, BootInfo{}, err
-		}
-		s, info.Recovered, info.AppliedSeq = st, true, applied
-		info.ChainDeltas = len(elems)
-	case baseExists:
-		st, applied, err := OpenWarm(storeDir)
-		if err != nil {
-			return nil, BootInfo{}, err
-		}
-		s, info.Recovered, info.AppliedSeq = st, true, applied
-	default:
+	if len(elems) == 0 {
 		s = New(opts)
+	} else if s, info.AppliedSeq, err = openChain(dir, elems); err != nil {
+		return nil, BootInfo{}, err
 	}
+	info.Recovered, info.ChainDeltas = len(elems) > 0, max(len(elems)-1, 0)
 	wal, err := durable.Open(filepath.Join(dir, dataWALName), info.AppliedSeq,
 		func(seq uint64, rec durable.Record) error {
 			if seq < info.AppliedSeq {
-				return nil // already inside the snapshot
+				return nil // already inside the chain
 			}
 			info.Replayed++
 			return s.Apply(rec)
@@ -323,15 +220,6 @@ func OpenDurable(dir string, opts Options) (*Store, BootInfo, error) {
 	s.dataDir = dir
 	s.boots = bumpBoots(filepath.Join(dir, dataBootsName))
 	s.chain = elems
-	s.baseSum = baseSum
-	if baseExists {
-		s.baseBytes = dirSize(storeDir)
-	}
-	var chainBytes int64
-	for _, e := range elems {
-		chainBytes += dirSize(filepath.Join(dir, e.name))
-	}
-	s.chainBytes = chainBytes
 	s.walMu.Unlock()
 	return s, info, nil
 }
@@ -402,14 +290,14 @@ func (s *Store) Durable() bool {
 	return s.wal != nil && s.dataDir != ""
 }
 
-// Checkpoint writes a fresh snapshot into the data directory and
+// Checkpoint writes a chain element into the data directory and
 // rotates the WAL, under full mutation exclusion: no insert can slip
 // between the image and the log cut, so nothing acked is ever lost and
 // nothing is replayed twice. Queries keep running throughout — they
-// reorganize crack state, which the snapshot captures per column
+// reorganize crack state, which the element captures per column
 // atomically and which is re-derivable anyway. In the store's default
-// mode (SetCheckpointDelta) this is a full image; delta mode writes a
-// differential chain element instead — see CheckpointMode.
+// mode (SetCheckpointDelta) this is a new element 0, a full image; delta
+// mode appends a differential element instead — see CheckpointMode.
 func (s *Store) Checkpoint() error {
 	_, err := s.CheckpointMode("")
 	return err

@@ -49,114 +49,96 @@ func loadMixed(t *testing.T, opts shard.Options, seed int64) (*shard.Store, [][]
 
 // TestShardSaveOpenByteIdentical: a reopened sharded store must answer
 // every query — rows, order, counts, group-bys — exactly like the
-// original, for both partition kinds, cold and warm.
+// original, for both partition kinds, with every shard's crack state.
+// (The image is chain element 0; there is no cold sharded image.)
 func TestShardSaveOpenByteIdentical(t *testing.T) {
 	for _, kind := range []shard.Kind{shard.Hash, shard.Range} {
-		for _, warm := range []bool{false, true} {
-			name := string(kind)
-			if warm {
-				name += "/warm"
-			} else {
-				name += "/cold"
+		t.Run(string(kind)+"/warm", func(t *testing.T) {
+			opts := shard.Options{Shards: 4, Kind: kind, Domain: [2]int64{0, 8000}}
+			src, _ := loadMixed(t, opts, 31)
+			dir := filepath.Join(t.TempDir(), "img")
+			if err := src.SaveWarm(dir); err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				opts := shard.Options{Shards: 4, Kind: kind, Domain: [2]int64{0, 8000}}
-				src, _ := loadMixed(t, opts, 31)
-				dir := filepath.Join(t.TempDir(), "img")
-				var dst *shard.Store
-				var err error
-				if warm {
-					if err = src.SaveWarm(dir); err != nil {
-						t.Fatal(err)
-					}
-					dst, _, err = shard.OpenWarm(dir)
-				} else {
-					if err = src.Save(dir); err != nil {
-						t.Fatal(err)
-					}
-					dst, err = shard.Open(dir)
-				}
+			dst, _, err := shard.OpenWarm(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := dst.ShardCount(), src.ShardCount(); got != want {
+				t.Fatalf("reopened with %d shards, want %d", got, want)
+			}
+			if !reflect.DeepEqual(dst.Partitions(), src.Partitions()) {
+				t.Fatalf("routing changed across reopen:\n got %+v\nwant %+v",
+					dst.Partitions(), src.Partitions())
+			}
+			// Per-shard row placement must be identical, not just the
+			// merged answer: that is what "byte-identical router" means.
+			for i := 0; i < src.ShardCount(); i++ {
+				a, err := src.Shard(i).NumRows("t")
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := dst.ShardCount(), src.ShardCount(); got != want {
-					t.Fatalf("reopened with %d shards, want %d", got, want)
-				}
-				if !reflect.DeepEqual(dst.Partitions(), src.Partitions()) {
-					t.Fatalf("routing changed across reopen:\n got %+v\nwant %+v",
-						dst.Partitions(), src.Partitions())
-				}
-				// Per-shard row placement must be identical, not just the
-				// merged answer: that is what "byte-identical router" means.
-				for i := 0; i < src.ShardCount(); i++ {
-					a, err := src.Shard(i).NumRows("t")
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := dst.Shard(i).NumRows("t")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if a != b {
-						t.Fatalf("shard %d holds %d rows reopened, %d originally", i, b, a)
-					}
-				}
-				rng := rand.New(rand.NewSource(77))
-				for i := 0; i < 30; i++ {
-					lo := rng.Int63n(7000)
-					conds := []crackdb.Cond{
-						{Col: "k", Op: ">=", Val: lo},
-						{Col: "k", Op: "<=", Val: lo + rng.Int63n(500)},
-					}
-					ra, err := src.SelectWhere("t", conds...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rb, err := dst.SelectWhere("t", conds...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rowsA, err := ra.Rows("k", "v")
-					if err != nil {
-						t.Fatal(err)
-					}
-					rowsB, err := rb.Rows("k", "v")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(rowsA, rowsB) {
-						t.Fatalf("query %d: row sets diverge across reopen", i)
-					}
-				}
-				ga, err := src.GroupBy("t", "v")
+				b, err := dst.Shard(i).NumRows("t")
 				if err != nil {
 					t.Fatal(err)
 				}
-				gb, err := dst.GroupBy("t", "v")
+				if a != b {
+					t.Fatalf("shard %d holds %d rows reopened, %d originally", i, b, a)
+				}
+			}
+			rng := rand.New(rand.NewSource(77))
+			for i := 0; i < 30; i++ {
+				lo := rng.Int63n(7000)
+				conds := []crackdb.Cond{
+					{Col: "k", Op: ">=", Val: lo},
+					{Col: "k", Op: "<=", Val: lo + rng.Int63n(500)},
+				}
+				ra, err := src.SelectWhere("t", conds...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(ga, gb) {
-					t.Fatal("group-by diverges across reopen")
+				rb, err := dst.SelectWhere("t", conds...)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if warm {
-					// Crack state survived per shard.
-					pa, err := src.ShardStats("t", "k")
-					if err != nil {
-						t.Fatal(err)
-					}
-					pb, err := dst.ShardStats("t", "k")
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range pa {
-						if pa[i].Pieces != pb[i].Pieces {
-							t.Fatalf("shard %d pieces: %d reopened, %d originally", i, pb[i].Pieces, pa[i].Pieces)
-						}
-					}
+				rowsA, err := ra.Rows("k", "v")
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				rowsB, err := rb.Rows("k", "v")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(rowsA, rowsB) {
+					t.Fatalf("query %d: row sets diverge across reopen", i)
+				}
+			}
+			ga, err := src.GroupBy("t", "v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb, err := dst.GroupBy("t", "v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ga, gb) {
+				t.Fatal("group-by diverges across reopen")
+			}
+			// Crack state survived per shard.
+			pa, err := src.ShardStats("t", "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb, err := dst.ShardStats("t", "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range pa {
+				if pa[i].Pieces != pb[i].Pieces {
+					t.Fatalf("shard %d pieces: %d reopened, %d originally", i, pb[i].Pieces, pa[i].Pieces)
+				}
+			}
+		})
 	}
 }
 

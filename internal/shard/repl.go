@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"hash"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
@@ -83,7 +85,24 @@ func (s *Store) ReplRead(from uint64, maxBytes int) ([]durable.Record, uint64, e
 type SnapshotFile struct {
 	Path string `json:"path"` // data-dir relative ("store/..." or "delta-NNNNNN/...")
 	Size int64  `json:"size"`
-	Crc  uint32 `json:"crc"` // CRC-32 (IEEE) of the file's contents
+	Crc  uint32 `json:"crc"` // NewSnapshotHash sum of the file's contents
+}
+
+// NewSnapshotHash returns the checksum SnapshotFile.Crc carries: CRC-32C
+// (Castagnoli). Not CRC-32 IEEE — image files end in their own IEEE
+// trailer, and the IEEE CRC of any such file is one constant residue,
+// so it would pass a stale file of the same size off as current.
+func NewSnapshotHash() hash.Hash32 { return crc32.New(castagnoli) }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// fileSum returns the NewSnapshotHash sum of a file's full contents.
+func fileSum(path string) (uint32, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	return crc32.Checksum(data, castagnoli), nil
 }
 
 // SnapshotManifest describes the checkpoint image a follower bootstraps
@@ -99,7 +118,7 @@ type SnapshotManifest struct {
 	Files []SnapshotFile `json:"files"`
 }
 
-// ReplManifest walks the checkpoint image — base plus delta chain —
+// ReplManifest walks the checkpoint image — the chain's elements —
 // under the replication read lock, so a concurrent Checkpoint cannot
 // swap the image mid-listing: the manifest always describes one
 // consistent snapshot, stamped with the log base it equals.
@@ -110,17 +129,10 @@ func (s *Store) ReplManifest() (SnapshotManifest, error) {
 		return SnapshotManifest{}, fmt.Errorf("shard: store is not durable")
 	}
 	m := SnapshotManifest{Seq: s.wal.Status().BaseSeq}
-	dirs := []string{dataStoreDir}
 	for _, e := range s.chain {
-		dirs = append(dirs, e.name)
-	}
-	for _, sub := range dirs {
-		root := filepath.Join(s.dataDir, sub)
+		root := filepath.Join(s.dataDir, e.name)
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
-				if os.IsNotExist(err) && path == root {
-					return nil // never checkpointed: empty image
-				}
 				return err
 			}
 			if d.IsDir() {
@@ -134,12 +146,12 @@ func (s *Store) ReplManifest() (SnapshotManifest, error) {
 			if err != nil {
 				return err
 			}
-			crc, err := fileCRC(path)
+			crc, err := fileSum(path)
 			if err != nil {
 				return err
 			}
 			m.Files = append(m.Files, SnapshotFile{
-				Path: sub + "/" + filepath.ToSlash(rel),
+				Path: e.name + "/" + filepath.ToSlash(rel),
 				Size: info.Size(),
 				Crc:  crc,
 			})

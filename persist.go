@@ -7,21 +7,22 @@ import (
 	"path/filepath"
 
 	"crackdb/internal/bat"
-	"crackdb/internal/core"
 	"crackdb/internal/durable"
-	"crackdb/internal/relation"
-	"crackdb/internal/strategy"
-	"crackdb/internal/tuner"
+	"crackdb/internal/sideways"
 )
 
-// Store persistence: each column is saved as one checksummed BAT image,
-// bound together by a JSON manifest. Save/Open persist the cold image
-// only, matching the paper's prototype ("each table comes with its own
-// cracker index and they are not saved between sessions", §5.2);
-// SaveWarm/OpenWarm additionally round-trip the cracker state — cut
-// sets, cracked vectors, pending updates, strategy RNG positions —
-// through a versioned crack-state snapshot (internal/durable), so a
-// reopened store resumes at converged per-query latency.
+// Store persistence. Every image is a chain of elements (internal/durable
+// CRKD files, each beside the BAT images of the tables it rewrote),
+// applied in order to an empty store. Element 0 has no predecessor and
+// carries every table; SaveDelta appends elements carrying only what
+// changed (persist_delta.go). Save writes element 0 without crack state,
+// matching the paper's prototype ("each table comes with its own cracker
+// index and they are not saved between sessions", §5.2); SaveWarm adds
+// every column's cut set, cracked vectors, pending updates and strategy
+// RNG position, sideways maps and tuner posture, so a reopened store
+// resumes at converged per-query latency. Images written before the
+// element format (crackdb.json + BATs, optionally a CRKS
+// crackstate.crk) still open: readElement adapts one into element 0.
 //
 // Every save is atomic: the image is written into a fresh temp directory
 // next to the target and swapped in with renames, so a crash mid-save
@@ -29,53 +30,69 @@ import (
 // layer: mutations are logged (and fsynced, group-committed) before they
 // are applied, and Apply replays a log against a reopened store.
 
-// manifest is the on-disk description of a store.
-type manifest struct {
-	Version int             `json:"version"`
-	Tables  []manifestTable `json:"tables"`
-}
+// elementName is the chain element file inside an image directory.
+const elementName = "crackdelta.crk"
 
-type manifestTable struct {
-	Name    string   `json:"name"`
-	Columns []string `json:"columns"`
-	Rows    int      `json:"rows"` // physical rows, tombstoned included
-
-	// Deleted lists the tombstoned OIDs. The BAT images keep deleted rows
-	// (OID stability), so the manifest must carry the tombstone set for a
-	// cold reopen to rebuild the same live view.
-	Deleted []uint32 `json:"deleted,omitempty"`
-}
-
+// The pre-element image: a JSON table manifest plus, for warm saves, a
+// CRKS crack-state snapshot. Read only, by readElement.
 const (
-	manifestName   = "crackdb.json"
-	crackStateName = "crackstate.crk"
+	legacyManifestName   = "crackdb.json"
+	legacyCrackStateName = "crackstate.crk"
 )
 
-// Save writes the store's cold image (tables, no cracker state) to a
-// directory, atomically replacing any previous image.
-func (s *Store) Save(dir string) error { return s.save(dir, false) }
+type legacyManifest struct {
+	Version int `json:"version"`
+	Tables  []struct {
+		Name    string   `json:"name"`
+		Columns []string `json:"columns"`
+		Rows    int      `json:"rows"`
+		Deleted []uint32 `json:"deleted"`
+	} `json:"tables"`
+}
 
-// SaveWarm writes the store's warm image: the cold image plus a
-// crack-state snapshot of every cracker column, so OpenWarm resumes with
-// the indexes the queries have paid for. When a WAL is attached the
-// snapshot is stamped with the current WAL sequence, making it a
+// Save writes the store's cold image — element 0 with tables and
+// tombstones only, no crack state — atomically replacing any previous
+// image in dir. A cold image anchors no delta chain.
+func (s *Store) Save(dir string) error { return s.save(dir, false, false) }
+
+// SaveWarm writes the store's warm image: element 0 with every table,
+// cracked column, sideways map and tuner record, so OpenWarm resumes
+// with the indexes the queries have paid for. When a WAL is attached
+// the element is stamped with the current WAL sequence, making it a
 // checkpoint: replay skips the records the image already covers.
-func (s *Store) SaveWarm(dir string) error { return s.save(dir, true) }
+func (s *Store) SaveWarm(dir string) error { return s.save(dir, true, false) }
 
-func (s *Store) save(dir string, warm bool) error {
+// SaveDelta writes a differential element into dir: rewritten BAT
+// images for data-dirty tables only, plus the crack state that moved
+// since the last save, atomically replacing any previous content of
+// dir. It requires a base: the store must have completed a warm save
+// (or warm open) whose mark anchors the chain.
+func (s *Store) SaveDelta(dir string) error { return s.save(dir, true, true) }
+
+// save writes one chain element into dir: chained to the mark of the
+// last save when delta is set, element 0 otherwise. The caller's lock
+// on s.mu covers the whole element, so no insert can slip between the
+// BAT images, the crack state, and the WAL stamp.
+func (s *Store) save(dir string, warm, delta bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	base := &saveMark{}
+	if delta {
+		if base = s.mark; base == nil {
+			return fmt.Errorf("crackdb: no base image to delta against (complete a full warm save first)")
+		}
+	}
 	var sum uint32
 	err := durable.AtomicReplaceDir(dir, func(tmp string) error {
-		var serr error
-		sum, serr = s.saveLocked(tmp, warm)
-		return serr
+		var werr error
+		sum, werr = s.writeElementLocked(tmp, base, warm)
+		return werr
 	})
 	// The mark anchors differential checkpoints to the image on disk: a
-	// successful warm save becomes the new chain base, and any failure —
-	// including the final directory swap, after the snapshot itself was
-	// written — clears it, so the next SaveDelta refuses rather than
-	// chaining to an image that never landed.
+	// successful warm save becomes the next delta's predecessor, and any
+	// failure — including the final directory swap, after the element
+	// itself was written — clears it, so the next SaveDelta refuses
+	// rather than chaining to an image that never landed.
 	if err != nil || !warm {
 		s.mark = nil
 		return err
@@ -84,225 +101,102 @@ func (s *Store) save(dir string, warm bool) error {
 	return nil
 }
 
-// saveLocked writes the image into dir (which exists and is empty),
-// returning the crack-state file's whole-file checksum for warm saves
-// (the identity a differential checkpoint chains to). The caller holds
-// s.mu, so no insert can slip between the BAT images, the crack-state
-// snapshot, and the WAL stamp.
-func (s *Store) saveLocked(dir string, warm bool) (uint32, error) {
-	var m manifest
-	m.Version = 1
-	for name, t := range s.tables {
-		mt := manifestTable{Name: name, Columns: t.ColumnNames(), Rows: t.Len()}
-		if ct, ok := s.cracked[name]; ok {
-			for _, oid := range ct.Tombstones() {
-				mt.Deleted = append(mt.Deleted, uint32(oid))
-			}
-		}
-		for _, col := range mt.Columns {
-			b, err := t.Column(col)
-			if err != nil {
-				return 0, err
-			}
-			if err := b.Save(columnPath(dir, name, col)); err != nil {
-				return 0, fmt.Errorf("crackdb: save %s.%s: %w", name, col, err)
-			}
-		}
-		m.Tables = append(m.Tables, mt)
-	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
-		return 0, err
-	}
-	if !warm {
-		return 0, nil
-	}
-	snap := &durable.StoreSnapshot{
-		Config:   s.configLocked(),
-		Sideways: s.sideways.Export(),
-	}
-	for _, t := range s.exportTunerStates() {
-		snap.Tuner = append(snap.Tuner, durable.TunerState{
-			Table: t.Table, Column: t.Column,
-			Strategy: t.Strategy, Class: t.Class,
-			Flips: t.Flips, Forced: t.Forced,
-		})
-	}
-	if s.wal != nil {
-		snap.AppliedSeq = s.wal.Seq()
-	}
-	for name, ct := range s.cracked {
-		for _, attr := range ct.CrackedColumns() {
-			c, ok := ct.Column(attr)
-			if !ok {
-				continue
-			}
-			snap.Columns = append(snap.Columns, durable.ColumnSnapshot{
-				Table: name, Attr: attr, State: c.ExportState(),
-			})
-		}
-	}
-	return durable.WriteSnapshotSum(filepath.Join(dir, crackStateName), snap)
+// Open loads an image's tables and tombstones, ignoring any crack state
+// it carries: the cold reopen. dir must hold element 0 (Save, SaveWarm,
+// or a pre-element image).
+func Open(dir string) (*Store, error) {
+	s, _, err := openChain([]string{dir}, false)
+	return s, err
 }
 
-// Open loads a store's cold image previously written by Save (or the
-// table data of a SaveWarm image, ignoring its cracker state).
-func Open(dir string) (*Store, error) {
-	durable.RecoverDirSwap(dir, manifestName)
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, fmt.Errorf("crackdb: open store: %w", err)
+// OpenWarm loads a warm image, reattaching every column's cut set,
+// cracked vectors, pending updates and strategy (with its RNG
+// position). It returns the WAL sequence the image covers, so the
+// caller can replay only the log suffix. A cold image opens with no
+// warmth to restore.
+func OpenWarm(dir string) (*Store, uint64, error) { return OpenWarmChain(dir, nil) }
+
+// OpenWarmChain loads a chain: element 0 in baseDir plus the ordered
+// delta directories SaveDelta wrote on top of it. Each element must
+// name its predecessor's checksum (element 0 names none); a broken or
+// missing link refuses the whole open rather than silently serving a
+// cold or half-applied store. Returns the WAL sequence the chain covers
+// through its final element.
+func OpenWarmChain(baseDir string, deltaDirs []string) (*Store, uint64, error) {
+	return openChain(append([]string{baseDir}, deltaDirs...), true)
+}
+
+// openChain applies the elements in dirs, in order, to an empty store.
+// Cold (warm false) applies table manifests only.
+func openChain(dirs []string, warm bool) (*Store, uint64, error) {
+	s := New()
+	var applied uint64
+	var prevSum uint32
+	for i, dir := range dirs {
+		d, sum, err := readElement(dir)
+		if err != nil {
+			return nil, 0, err
+		}
+		if d.PrevSum != prevSum {
+			if i == 0 {
+				return nil, 0, fmt.Errorf("crackdb: %s is a delta element, not a base image", dir)
+			}
+			return nil, 0, fmt.Errorf("crackdb: delta chain broken at %s: element links %08x, but its predecessor %s is %08x — a delta opens only over the warm base and elements it was saved after",
+				dir, d.PrevSum, dirs[i-1], prevSum)
+		}
+		if err := s.applyDelta(dir, d, warm); err != nil {
+			return nil, 0, err
+		}
+		applied, prevSum = d.AppliedSeq, sum
 	}
-	var m manifest
+	if warm {
+		// The reopened state matches the chain on disk exactly, so its
+		// tip can anchor the next delta without another full save.
+		s.mu.Lock()
+		s.markLocked(prevSum)
+		s.mu.Unlock()
+	}
+	return s, applied, nil
+}
+
+// readElement reads and verifies the chain element in dir, returning it
+// with its chain sum. An image written before the element format is
+// adapted into element 0 whose sum is its CRKS trailer (0 for a cold
+// one), so delta chains written against it still link.
+func readElement(dir string) (*durable.DeltaSnapshot, uint32, error) {
+	durable.RecoverDirSwap(dir, elementName, legacyManifestName)
+	d, sum, err := durable.ReadDelta(filepath.Join(dir, elementName))
+	if err == nil {
+		return d, sum, nil
+	}
+	if !os.IsNotExist(err) {
+		return nil, 0, fmt.Errorf("crackdb: open %s: %w", dir, err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, legacyManifestName))
+	if err != nil {
+		return nil, 0, fmt.Errorf("crackdb: open store: %w", err)
+	}
+	var m legacyManifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("crackdb: corrupt manifest: %w", err)
+		return nil, 0, fmt.Errorf("crackdb: corrupt manifest: %w", err)
 	}
 	if m.Version != 1 {
-		return nil, fmt.Errorf("crackdb: unsupported store version %d", m.Version)
+		return nil, 0, fmt.Errorf("crackdb: unsupported store version %d", m.Version)
 	}
-	s := New()
-	for _, mt := range m.Tables {
-		cols := make([]relation.Column, len(mt.Columns))
-		for i, col := range mt.Columns {
-			b, err := bat.Load(mt.Name+"_"+col, columnPath(dir, mt.Name, col))
-			if err != nil {
-				return nil, fmt.Errorf("crackdb: load %s.%s: %w", mt.Name, col, err)
-			}
-			if b.Len() != mt.Rows {
-				return nil, fmt.Errorf("crackdb: %s.%s has %d rows, manifest says %d",
-					mt.Name, col, b.Len(), mt.Rows)
-			}
-			cols[i] = relation.Column{Name: col, Data: b}
-		}
-		t, err := relation.FromColumns(mt.Name, cols...)
-		if err != nil {
-			return nil, err
-		}
-		s.tables[mt.Name] = t
-		s.bumpTableGenLocked(mt.Name)
-		if err := s.registerTableLocked(mt.Name, mt.Columns, mt.Rows-len(mt.Deleted)); err != nil {
-			return nil, err
-		}
-		if len(mt.Deleted) > 0 {
-			// Tombstones force the cracked wrapper into existence now:
-			// columns restored (or lazily created) later must inherit the
-			// set at birth, and RestoreTombstones refuses once any exist.
-			ct := s.newCrackedTableLocked(mt.Name, t)
-			oids := make([]bat.OID, len(mt.Deleted))
-			for i, o := range mt.Deleted {
-				oids[i] = bat.OID(o)
-			}
-			if err := ct.RestoreTombstones(oids); err != nil {
-				return nil, fmt.Errorf("crackdb: restore %s: %w", mt.Name, err)
-			}
-			s.cracked[mt.Name] = ct
+	tables := make([]durable.DeltaTable, len(m.Tables))
+	for i, mt := range m.Tables {
+		tables[i] = durable.DeltaTable{Name: mt.Name, Cols: mt.Columns, Rows: mt.Rows, DataDirty: true}
+		for _, o := range mt.Deleted {
+			tables[i].Deleted = append(tables[i].Deleted, bat.OID(o))
 		}
 	}
-	return s, nil
-}
-
-// OpenWarm loads a warm image: the cold image plus, when present, the
-// crack-state snapshot, reattaching every column's cut set, cracked
-// vectors, pending updates and strategy (with its RNG position). It
-// returns the WAL sequence the image covers, so the caller can replay
-// only the log suffix. A directory written by the cold Save opens
-// successfully with appliedSeq 0 — there is simply no warmth to restore.
-func OpenWarm(dir string) (*Store, uint64, error) {
-	s, err := Open(dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	snap, sum, err := durable.ReadSnapshotSum(filepath.Join(dir, crackStateName))
+	snap, sum, err := durable.ReadSnapshotSum(filepath.Join(dir, legacyCrackStateName))
 	if os.IsNotExist(err) {
-		return s, 0, nil
-	}
-	if err != nil {
+		snap = &durable.StoreSnapshot{Config: durable.StoreConfig{SidewaysBudget: sideways.DefaultBudget}}
+	} else if err != nil {
 		return nil, 0, err
 	}
-	if err := s.restoreSnapshot(snap); err != nil {
-		return nil, 0, err
-	}
-	// The reopened state matches the on-disk image exactly, so the image
-	// can anchor differential checkpoints without another full save.
-	s.mu.Lock()
-	s.markLocked(sum)
-	s.mu.Unlock()
-	return s, snap.AppliedSeq, nil
-}
-
-// restoreSnapshot applies a crack-state snapshot to a freshly opened
-// store.
-func (s *Store) restoreSnapshot(snap *durable.StoreSnapshot) error {
-	if name := snap.Config.StrategyName; name != "" {
-		if err := s.SetCrackStrategy(name, snap.Config.StrategySeed); err != nil {
-			return err
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maxPieces = snap.Config.MaxPieces
-	s.ripple = snap.Config.Ripple
-	s.sideways.SetBudget(snap.Config.SidewaysBudget)
-	for _, cs := range snap.Columns {
-		t, ok := s.tables[cs.Table]
-		if !ok {
-			return fmt.Errorf("crackdb: crack state for unknown table %q", cs.Table)
-		}
-		ct, ok := s.cracked[cs.Table]
-		if !ok {
-			ct = s.newCrackedTableLocked(cs.Table, t)
-			s.cracked[cs.Table] = ct
-		}
-		opts := s.baseColumnOptions()
-		if cs.State.Strategy != nil {
-			st, err := strategy.Restore(*cs.State.Strategy)
-			if err != nil {
-				return fmt.Errorf("crackdb: restore %s.%s: %w", cs.Table, cs.Attr, err)
-			}
-			opts = append(opts, core.WithStrategy(st))
-		}
-		col, err := core.ColumnFromState(cs.State, opts...)
-		if err != nil {
-			return fmt.Errorf("crackdb: restore %s.%s: %w", cs.Table, cs.Attr, err)
-		}
-		if err := ct.RestoreColumn(cs.Attr, col); err != nil {
-			return fmt.Errorf("crackdb: restore %s.%s: %w", cs.Table, cs.Attr, err)
-		}
-	}
-	if len(snap.Sideways) > 0 {
-		lookup := func(table string) (*core.CrackedTable, bool) {
-			t, ok := s.tables[table]
-			if !ok {
-				return nil, false
-			}
-			ct, ok := s.cracked[table]
-			if !ok {
-				ct = s.newCrackedTableLocked(table, t)
-				s.cracked[table] = ct
-			}
-			return ct, true
-		}
-		if err := s.sideways.Restore(snap.Sideways, lookup, strategy.Restore); err != nil {
-			return fmt.Errorf("crackdb: %w", err)
-		}
-	}
-	// Tuner posture parks in pendingTuner until EnableAutotune adopts it
-	// (the flag is a runtime choice, not part of the image). Per-column
-	// strategies themselves were already restored above: each column
-	// record carries its own strategy state, and baseColumnOptions
-	// deliberately omits the store default — so a column the tuner
-	// flipped to standard reopens as standard, not as the default.
-	for _, t := range snap.Tuner {
-		s.pendingTuner = append(s.pendingTuner, tuner.ColumnState{
-			Table: t.Table, Column: t.Column,
-			Strategy: t.Strategy, Class: t.Class,
-			Flips: t.Flips, Forced: t.Forced,
-		})
-	}
-	return nil
+	return snap.Element(tables), sum, nil
 }
 
 // AttachWAL arms write-ahead logging: every subsequent CreateTable,

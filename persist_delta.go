@@ -2,7 +2,6 @@ package crackdb
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -15,29 +14,29 @@ import (
 	"crackdb/internal/tuner"
 )
 
-// Differential checkpoints at the store level: SaveDelta writes only what
-// changed since the last save (full or delta) into a fresh directory —
-// rewritten BAT images for tables whose base data moved, complete crack
-// state for columns whose fingerprint moved, sideways maps for touched
-// tables — chained to the previous image by its checksum trailer.
-// OpenWarmChain resolves base + deltas back into a live store, verifying
-// every link before applying anything.
+// Chain elements at the store level. writeElementLocked builds every
+// image: element 0 (no predecessor — every table rewritten, every
+// cracked column carried) for Save and SaveWarm, and a differential
+// element for SaveDelta — rewritten BAT images for tables whose base
+// data moved, complete crack state for columns whose fingerprint moved,
+// sideways maps for touched tables — chained to the previous image by
+// its checksum trailer. applyDelta folds an element into a live store;
+// openChain (persist.go) applies a whole chain to an empty one.
 //
 // Change detection is a saveMark: a per-table shape-and-generation
 // record plus a per-column state fingerprint
 // (core.Column.StateFingerprint), recorded after every successful save
 // and after every warm open. A table or column with no mark entry is
-// dirty by definition, and every table-creation path bumps the table's
-// generation (bumpTableGenLocked) — so create, drop+recreate (even into
-// an identical shape and row count), and Materialize (which bypasses
-// the WAL) all land in the next delta.
-
-const deltaStateName = "crackdelta.crk"
+// dirty by definition — element 0 is written against an empty mark —
+// and every table-creation path bumps the table's generation
+// (bumpTableGenLocked), so create, drop+recreate (even into an
+// identical shape and row count), and Materialize (which bypasses the
+// WAL) all land in the next delta.
 
 // saveMark captures what the last saved image contained, in just enough
 // detail to decide per column whether the live state still matches it.
 type saveMark struct {
-	sum    uint32 // CRC-32 of the saved crack-state file (chain identity)
+	sum    uint32 // CRC-32 trailer of the saved element (chain identity)
 	config durable.StoreConfig
 	tables map[string]tableMark
 	cols   map[colKey]uint64 // crack-state fingerprints at save time
@@ -65,7 +64,7 @@ func (s *Store) bumpTableGenLocked(name string) {
 }
 
 // configLocked materializes the store-wide crack configuration a
-// snapshot carries. The caller holds s.mu (read or write).
+// chain element carries. The caller holds s.mu (read or write).
 func (s *Store) configLocked() durable.StoreConfig {
 	return durable.StoreConfig{
 		StrategyName:   s.strategyName,
@@ -162,26 +161,16 @@ func (s *Store) dirtySinceSaveLocked() bool {
 	return liveCols != len(m.cols)
 }
 
-// SaveDelta writes a differential image into dir: the delta crack-state
-// file plus rewritten BAT images for data-dirty tables only, atomically
-// replacing any previous content of dir. It requires a base: the store
-// must have completed a warm save (or warm open) whose mark anchors the
-// chain. On any error the mark is cleared, so the next delta attempt
-// reports the missing base instead of chaining to an image that may not
-// match what reached disk.
-func (s *Store) SaveDelta(dir string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mark := s.mark
-	if mark == nil {
-		return fmt.Errorf("crackdb: no base image to delta against (complete a full warm save first)")
+// writeElementLocked writes one chain element into dir (which exists
+// and is empty), chained to base — an empty mark for element 0 — and
+// returns the element's checksum. Cold (warm false) leaves out every
+// column, sideways and tuner record. The caller holds s.mu.
+func (s *Store) writeElementLocked(dir string, base *saveMark, warm bool) (uint32, error) {
+	d := &durable.DeltaSnapshot{PrevSum: base.sum, Config: s.configLocked()}
+	if s.wal != nil {
+		d.AppliedSeq = s.wal.Seq()
 	}
-	var sum uint32
-	err := durable.AtomicReplaceDir(dir, func(tmp string) error {
-		d := &durable.DeltaSnapshot{PrevSum: mark.sum, Config: s.configLocked()}
-		if s.wal != nil {
-			d.AppliedSeq = s.wal.Seq()
-		}
+	if warm {
 		for _, t := range s.exportTunerStates() {
 			d.Tuner = append(d.Tuner, durable.TunerState{
 				Table: t.Table, Column: t.Column,
@@ -189,150 +178,97 @@ func (s *Store) SaveDelta(dir string) error {
 				Flips: t.Flips, Forced: t.Forced,
 			})
 		}
-		names := make([]string, 0, len(s.tables))
-		for name := range s.tables {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		touched := make(map[string]bool)
-		for _, name := range names {
-			t := s.tables[name]
-			dt := durable.DeltaTable{Name: name, Cols: t.ColumnNames(), Rows: t.Len()}
-			ct := s.cracked[name]
-			if ct != nil {
-				dt.Deleted = ct.Tombstones()
-			}
-			var attrs []string
-			if ct != nil {
+	}
+	names := make([]string, 0, len(s.tables))
+	for name := range s.tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	touched := make(map[string]bool)
+	for _, name := range names {
+		t := s.tables[name]
+		dt := durable.DeltaTable{Name: name, Cols: t.ColumnNames(), Rows: t.Len()}
+		ct := s.cracked[name]
+		var attrs []string
+		if ct != nil {
+			dt.Deleted = ct.Tombstones()
+			if warm {
 				attrs = ct.CrackedColumns()
 				sort.Strings(attrs)
 			}
-			tm, had := mark.tables[name]
-			markCols := 0
-			for k := range mark.cols {
-				if k.table == name {
-					markCols++
-				}
-			}
-			dt.DataDirty = !had || tm.gen != s.tableGen[name] ||
-				tm.rows != dt.Rows || tm.cols != joinCols(dt.Cols) ||
-				markCols > len(attrs) // a cracked column vanished: drop+recreate
-			tombChanged := !had || tm.tombs != len(dt.Deleted)
-			if dt.DataDirty {
-				for _, col := range dt.Cols {
-					b, err := t.Column(col)
-					if err != nil {
-						return err
-					}
-					if err := b.Save(columnPath(tmp, name, col)); err != nil {
-						return fmt.Errorf("crackdb: save %s.%s: %w", name, col, err)
-					}
-				}
-			}
-			tableTouched := dt.DataDirty || tombChanged
-			for _, attr := range attrs {
-				c, ok := ct.Column(attr)
-				if !ok {
-					continue
-				}
-				fp := c.StateFingerprint()
-				prev, known := mark.cols[colKey{name, attr}]
-				if dt.DataDirty || tombChanged || !known || prev != fp {
-					d.Columns = append(d.Columns, durable.ColumnSnapshot{
-						Table: name, Attr: attr, State: c.ExportState(),
-					})
-					tableTouched = true
-				}
-			}
-			if tableTouched {
-				touched[name] = true
-				d.Touched = append(d.Touched, name)
-			}
-			d.Tables = append(d.Tables, dt)
 		}
+		tm, had := base.tables[name]
+		markCols := 0
+		for k := range base.cols {
+			if k.table == name {
+				markCols++
+			}
+		}
+		dt.DataDirty = !had || tm.gen != s.tableGen[name] ||
+			tm.rows != dt.Rows || tm.cols != joinCols(dt.Cols) ||
+			markCols > len(attrs) // a cracked column vanished: drop+recreate
+		tombChanged := !had || tm.tombs != len(dt.Deleted)
+		if dt.DataDirty {
+			for _, col := range dt.Cols {
+				b, err := t.Column(col)
+				if err != nil {
+					return 0, err
+				}
+				if err := b.Save(columnPath(dir, name, col)); err != nil {
+					return 0, fmt.Errorf("crackdb: save %s.%s: %w", name, col, err)
+				}
+			}
+		}
+		tableTouched := dt.DataDirty || tombChanged
+		for _, attr := range attrs {
+			c, ok := ct.Column(attr)
+			if !ok {
+				continue
+			}
+			prev, known := base.cols[colKey{name, attr}]
+			if dt.DataDirty || tombChanged || !known || prev != c.StateFingerprint() {
+				d.Columns = append(d.Columns, durable.ColumnSnapshot{
+					Table: name, Attr: attr, State: c.ExportState(),
+				})
+				tableTouched = true
+			}
+		}
+		if tableTouched {
+			touched[name] = true
+			d.Touched = append(d.Touched, name)
+		}
+		d.Tables = append(d.Tables, dt)
+	}
+	if warm {
 		for _, ms := range s.sideways.Export() {
 			if touched[ms.Table] {
 				d.Sideways = append(d.Sideways, ms)
 			}
 		}
-		var werr error
-		sum, werr = durable.WriteDelta(filepath.Join(tmp, deltaStateName), d)
-		return werr
-	})
-	if err != nil {
-		s.mark = nil
-		return err
 	}
-	s.markLocked(sum)
-	return nil
-}
-
-// OpenWarmChain loads a warm base image plus an ordered chain of delta
-// directories written by SaveDelta. Every link is verified — the first
-// delta must name the base's crack-state checksum, each later delta its
-// predecessor's file checksum — before any element is applied; a broken
-// or missing link refuses the whole open rather than silently serving
-// a cold or half-applied store. Returns the WAL sequence the chain
-// covers through its final element.
-func OpenWarmChain(baseDir string, deltaDirs []string) (*Store, uint64, error) {
-	s, err := Open(baseDir)
-	if err != nil {
-		return nil, 0, err
-	}
-	snap, sum, err := durable.ReadSnapshotSum(filepath.Join(baseDir, crackStateName))
-	if os.IsNotExist(err) {
-		if len(deltaDirs) == 0 {
-			return s, 0, nil
-		}
-		return nil, 0, fmt.Errorf("crackdb: delta chain needs a warm base, %s has no crack state", baseDir)
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := s.restoreSnapshot(snap); err != nil {
-		return nil, 0, err
-	}
-	applied := snap.AppliedSeq
-	prevSum := sum
-	for _, dd := range deltaDirs {
-		durable.RecoverDirSwap(dd, deltaStateName)
-		d, dsum, err := durable.ReadDelta(filepath.Join(dd, deltaStateName))
-		if err != nil {
-			return nil, 0, fmt.Errorf("crackdb: open delta %s: %w", dd, err)
-		}
-		if d.PrevSum != prevSum {
-			return nil, 0, fmt.Errorf("crackdb: delta chain broken at %s: element links predecessor %08x, chain has %08x",
-				dd, d.PrevSum, prevSum)
-		}
-		if err := s.applyDelta(dd, d); err != nil {
-			return nil, 0, err
-		}
-		applied = d.AppliedSeq
-		prevSum = dsum
-	}
-	s.mu.Lock()
-	s.markLocked(prevSum)
-	s.mu.Unlock()
-	return s, applied, nil
+	return durable.WriteDelta(filepath.Join(dir, elementName), d)
 }
 
 // applyDelta folds one verified chain element into the store: drops
 // tables absent from the element's manifest, swaps in rewritten base
 // data, reconciles tombstones, replaces the crack state of every column
 // the element carries, and refreshes sideways maps for touched tables.
-func (s *Store) applyDelta(dir string, d *durable.DeltaSnapshot) error {
+// Cold (warm false) stops after the table manifest.
+func (s *Store) applyDelta(dir string, d *durable.DeltaSnapshot, warm bool) error {
 	// Strategy config first: SetCrackStrategy takes s.mu itself. No WAL
 	// is attached at chain-apply time, so nothing is re-logged.
-	if name := d.Config.StrategyName; name != "" {
+	if name := d.Config.StrategyName; warm && name != "" {
 		if err := s.SetCrackStrategy(name, d.Config.StrategySeed); err != nil {
 			return err
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.maxPieces = d.Config.MaxPieces
-	s.ripple = d.Config.Ripple
-	s.sideways.SetBudget(d.Config.SidewaysBudget)
+	if warm {
+		s.maxPieces = d.Config.MaxPieces
+		s.ripple = d.Config.Ripple
+		s.sideways.SetBudget(d.Config.SidewaysBudget)
+	}
 
 	inDelta := make(map[string]bool, len(d.Tables))
 	for _, dt := range d.Tables {
@@ -361,10 +297,10 @@ func (s *Store) applyDelta(dir string, d *durable.DeltaSnapshot) error {
 			for i, col := range dt.Cols {
 				b, err := bat.Load(dt.Name+"_"+col, columnPath(dir, dt.Name, col))
 				if err != nil {
-					return fmt.Errorf("crackdb: load delta %s.%s: %w", dt.Name, col, err)
+					return fmt.Errorf("crackdb: load %s.%s: %w", dt.Name, col, err)
 				}
 				if b.Len() != dt.Rows {
-					return fmt.Errorf("crackdb: delta %s.%s has %d rows, manifest says %d",
+					return fmt.Errorf("crackdb: element %s: %s.%s has %d rows, manifest says %d", dir,
 						dt.Name, col, b.Len(), dt.Rows)
 				}
 				cols[i] = relation.Column{Name: col, Data: b}
@@ -427,7 +363,16 @@ func (s *Store) applyDelta(dir string, d *durable.DeltaSnapshot) error {
 			s.sideways.DropTable(dt.Name)
 		}
 	}
+	if !warm {
+		return nil
+	}
+	seen := make(map[colKey]bool, len(d.Columns))
 	for _, cs := range d.Columns {
+		k := colKey{cs.Table, cs.Attr}
+		if seen[k] {
+			return fmt.Errorf("crackdb: element %s carries two records for %s.%s", dir, cs.Table, cs.Attr)
+		}
+		seen[k] = true
 		t, ok := s.tables[cs.Table]
 		if !ok {
 			return fmt.Errorf("crackdb: delta crack state for unknown table %q", cs.Table)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"crackdb"
+	"crackdb/internal/durable"
 )
 
 // mutateAndCrack runs one more round of mixed load against a store —
@@ -335,6 +336,38 @@ func TestDeltaChainRefusals(t *testing.T) {
 	if _, _, err := crackdb.OpenWarmChain(base, []string{d1, d2}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestElementRefusesDuplicateColumn: an element carries at most one
+// record per column — a second would silently override the first — so
+// the warm apply refuses it, while the cold open, which applies the
+// table manifest only, still serves the tables.
+func TestElementRefusesDuplicateColumn(t *testing.T) {
+	live, rows := buildCrackedStore(t, "standard", 5)
+	dir := filepath.Join(t.TempDir(), "img")
+	if err := live.SaveWarm(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "crackdelta.crk")
+	d, _, err := durable.ReadDelta(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.PrevSum != 0 || len(d.Columns) == 0 {
+		t.Fatalf("warm image is not element 0 with crack state: prev %08x, %d columns", d.PrevSum, len(d.Columns))
+	}
+	d.Columns = append(d.Columns, d.Columns[0])
+	if _, err := durable.WriteDelta(path, d); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := crackdb.OpenWarm(dir); err == nil || !strings.Contains(err.Error(), "two records") {
+		t.Fatalf("want refusal of a duplicate column record, got %v", err)
+	}
+	cold, err := crackdb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareStores(t, rows, map[string]*crackdb.Store{"cold": cold})
 }
 
 func copyDir(t *testing.T, src, dst string) error {
